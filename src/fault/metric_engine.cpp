@@ -148,6 +148,10 @@ class FaultMetricEngine::Scratch {
   std::vector<std::int32_t> p_forced_touched;
   std::vector<std::uint64_t> p_extra0, p_extra1;  // per slot: taint lanes
   std::vector<std::int32_t> p_extra_touched;
+  // Taint sweep: per node, the stuck-0 / stuck-1 lanes arriving over at
+  // least one scan edge.  All-zero between batches (the sweep clears each
+  // node as it consumes it).
+  std::vector<std::uint64_t> p_taint0, p_taint1;
   // Taint rebase seeds: used atom + the lanes that deviate at reset.
   std::vector<std::int32_t> p_seed_atoms;
   std::vector<std::uint64_t> p_seed_lanes;
@@ -171,6 +175,7 @@ class FaultMetricEngine::Scratch {
   std::uint64_t packed_batches = 0;
   std::uint64_t packed_lanes = 0;
   std::uint64_t packed_words = 0;
+  std::uint64_t sweep_words = 0;
 };
 
 void FaultMetricEngine::ScratchDeleter::operator()(Scratch* s) const {
@@ -262,6 +267,7 @@ FaultMetricEngine::FaultMetricEngine(const Rsn& rsn) : rsn_(&rsn) {
   // Node structure-of-arrays.
   is_segment_.assign(n_nodes_, 0);
   has_shadow_.assign(n_nodes_, 0);
+  is_primary_in_.assign(n_nodes_, 0);
   is_primary_out_.assign(n_nodes_, 0);
   node_sel_.assign(n_nodes_, -1);
   node_cap_.assign(n_nodes_, -1);
@@ -270,6 +276,7 @@ FaultMetricEngine::FaultMetricEngine(const Rsn& rsn) : rsn_(&rsn) {
   node_len_.assign(n_nodes_, 0);
   for (NodeId id = 0; id < n_nodes_; ++id) {
     const RsnNode& n = rsn.node(id);
+    is_primary_in_[id] = n.kind == NodeKind::kPrimaryIn;
     is_primary_out_[id] = n.kind == NodeKind::kPrimaryOut;
     node_len_[id] = n.length;
     if (n.is_segment()) {
@@ -918,10 +925,14 @@ void FaultMetricEngine::init_packed_scratch(Scratch& s) const {
   s.p_forced_val.assign(pool_size_, 0);
   s.p_extra0.assign(n_slots, 0);
   s.p_extra1.assign(n_slots, 0);
+  s.p_taint0.assign(n_nodes_, 0);
+  s.p_taint1.assign(n_nodes_, 0);
   s.p_mask0.assign(pool_size_, 0);
   s.p_mask1.assign(pool_size_, 0);
-  s.p_edge_routable.assign(edges_.size(), 0);
-  s.p_edge_clean.assign(edges_.size(), 0);
+  // Non-mux edges are usable in every lane; only mux edge words are
+  // rewritten per iteration, so the rest stay all-ones for good.
+  s.p_edge_routable.assign(edges_.size(), ~std::uint64_t{0});
+  s.p_edge_clean.assign(edges_.size(), ~std::uint64_t{0});
   s.p_route_fwd.assign(n_nodes_, 0);
   s.p_clean_fwd.assign(n_nodes_, 0);
   s.p_route_bwd.assign(n_nodes_, 0);
@@ -1142,8 +1153,32 @@ void FaultMetricEngine::eval_fault_batch(Scratch& s, const Fault* faults,
     }
   }
 
-  // Taint cones, one DFS per data-fault lane (same traversal as the scalar
-  // path; the stuck polarity picks which extra word gets the lane bit).
+  // Taint cones as one lane-parallel forward sweep.  A data-fault lane is
+  // fed into the taint words of its site's successors; visiting nodes in
+  // topological order, each node hands its words on to its own successors
+  // and is cleared, so the words a node holds when visited are exactly the
+  // lanes whose site reaches it over at least one scan edge.  That is the
+  // per-lane DFS visited set without the site itself (Rsn::topo_order
+  // guarantees a DAG, so no site reaches itself); only a kSegmentIn fault
+  // also taints its own segment.  The stuck polarity picks the word.
+  const auto taint_slot = [&](std::int32_t slot, std::uint64_t w0,
+                              std::uint64_t w1) {
+    const auto t = static_cast<std::size_t>(slot);
+    if (!s.p_extra0[t] && !s.p_extra1[t]) s.p_extra_touched.push_back(slot);
+    s.p_extra0[t] |= w0;
+    s.p_extra1[t] |= w1;
+  };
+  const auto feed_successors = [&](NodeId v, std::uint64_t w0,
+                                   std::uint64_t w1) {
+    for (std::int32_t k = out_start_[v]; k < out_start_[v + 1]; ++k) {
+      const NodeId w = edges_[static_cast<std::size_t>(
+                                  out_edge_[static_cast<std::size_t>(k)])]
+                           .to;
+      s.p_taint0[w] |= w0;
+      s.p_taint1[w] |= w1;
+    }
+  };
+  std::size_t sweep_from = topo_.size();
   for (std::size_t l = 0; l < n_lanes; ++l) {
     const Forcing& f = faults[l].forcing;
     const bool starts_at_input = f.point == Forcing::Point::kSegmentIn;
@@ -1154,34 +1189,25 @@ void FaultMetricEngine::eval_fault_batch(Scratch& s, const Fault* faults,
                             f.point == Forcing::Point::kPrimaryIn;
     if (!data_fault) continue;
     const std::uint64_t bit = std::uint64_t{1} << l;
-    std::vector<std::uint64_t>& extra = f.value ? s.p_extra1 : s.p_extra0;
-    std::memset(s.seen.data(), 0, n_nodes_);
-    s.dfs_stack.clear();
-    s.seen[f.node] = 1;
-    s.dfs_stack.push_back(f.node);
-    const auto taint = [&](NodeId v) {
-      const std::int32_t slot = seg_slot_[v];
-      if (slot < 0) return;
-      const auto t = static_cast<std::size_t>(slot);
-      if (!s.p_extra0[t] && !s.p_extra1[t]) s.p_extra_touched.push_back(slot);
-      extra[t] |= bit;
-    };
-    if (starts_at_input) taint(f.node);
-    while (!s.dfs_stack.empty()) {
-      const NodeId v = s.dfs_stack.back();
-      s.dfs_stack.pop_back();
-      for (std::int32_t k = out_start_[v]; k < out_start_[v + 1]; ++k) {
-        const NodeId w =
-            edges_[static_cast<std::size_t>(
-                       out_edge_[static_cast<std::size_t>(k)])]
-                .to;
-        if (s.seen[w]) continue;
-        s.seen[w] = 1;
-        if (is_segment_[w]) taint(w);
-        s.dfs_stack.push_back(w);
-      }
-    }
+    const std::uint64_t w0 = f.value ? 0 : bit;
+    const std::uint64_t w1 = f.value ? bit : 0;
+    if (starts_at_input && seg_slot_[f.node] >= 0)
+      taint_slot(seg_slot_[f.node], w0, w1);
+    feed_successors(f.node, w0, w1);
+    sweep_from = std::min(
+        sweep_from, static_cast<std::size_t>(topo_pos_[f.node]) + 1);
   }
+  for (std::size_t i = sweep_from; i < topo_.size(); ++i) {
+    const NodeId v = topo_[i];
+    const std::uint64_t w0 = s.p_taint0[v];
+    const std::uint64_t w1 = s.p_taint1[v];
+    if (!(w0 | w1)) continue;
+    s.p_taint0[v] = 0;
+    s.p_taint1[v] = 0;
+    if (seg_slot_[v] >= 0) taint_slot(seg_slot_[v], w0, w1);
+    feed_successors(v, w0, w1);
+  }
+  s.sweep_words += topo_.size() - sweep_from;
 
   // Rebase seeds: used atoms with at least one lane whose taint deviates
   // from the atom's reset value (the packed analogue of taint_seed_atoms).
@@ -1218,11 +1244,8 @@ void FaultMetricEngine::eval_fault_batch(Scratch& s, const Fault* faults,
   for (int iter = 0; iter < kMaxIterations; ++iter) {
     ++s.iterations;
 
-    // Edge usability (non-mux edges are usable in every lane).
-    std::memset(s.p_edge_routable.data(), 0xff,
-                edges_.size() * sizeof(std::uint64_t));
-    std::memset(s.p_edge_clean.data(), 0xff,
-                edges_.size() * sizeof(std::uint64_t));
+    // Edge usability of the mux edges (every other edge word stays
+    // all-ones from init_packed_scratch).
     for (const std::int32_t me : mux_edges_) {
       const auto e = static_cast<std::size_t>(me);
       const EngineEdge& edge = edges_[e];
@@ -1265,45 +1288,45 @@ void FaultMetricEngine::eval_fault_batch(Scratch& s, const Fault* faults,
       }
     }
 
-    // Forward/backward reachability sweeps in topological order.
-    std::memset(s.p_route_fwd.data(), 0, n_nodes_ * sizeof(std::uint64_t));
-    std::memset(s.p_clean_fwd.data(), 0, n_nodes_ * sizeof(std::uint64_t));
-    std::memset(s.p_route_bwd.data(), 0, n_nodes_ * sizeof(std::uint64_t));
-    std::memset(s.p_clean_bwd.data(), 0, n_nodes_ * sizeof(std::uint64_t));
-    for (const NodeId r : primary_ins_) {
-      s.p_route_fwd[r] = ~std::uint64_t{0};
-      s.p_clean_fwd[r] = ~s.p_node_dead[r];
-    }
+    // Forward/backward reachability in topological order.  Each node pulls
+    // from its already-final predecessors (successors, backward) and
+    // overwrites its words, so nothing needs clearing between iterations.
+    // Same values as pushing along the edges: a node's word is its port
+    // seed OR'ed with every neighbour's contribution.
     for (const NodeId v : topo_) {
-      const std::uint64_t rf = s.p_route_fwd[v];
-      const std::uint64_t cfp = s.p_clean_fwd[v] & ~s.p_node_dead[v];
-      if (!(rf | cfp)) continue;
+      std::uint64_t rf = 0, cf = 0;
+      if (is_primary_in_[v]) {
+        rf = ~std::uint64_t{0};
+        cf = ~s.p_node_dead[v];
+      }
+      for (std::int32_t k = in_start_[v]; k < in_start_[v + 1]; ++k) {
+        const auto e =
+            static_cast<std::size_t>(in_edge_[static_cast<std::size_t>(k)]);
+        const NodeId u = edges_[e].from;
+        rf |= s.p_route_fwd[u] & s.p_edge_routable[e];
+        cf |= s.p_clean_fwd[u] & ~s.p_node_dead[u] & s.p_edge_clean[e];
+      }
+      s.p_route_fwd[v] = rf;
+      s.p_clean_fwd[v] = cf;
+    }
+    for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
+      const NodeId v = *it;
+      std::uint64_t rb = 0, cb = 0;
+      if (is_primary_out_[v]) {
+        rb = ~std::uint64_t{0};
+        cb = ~s.p_node_dead[v];
+      }
       for (std::int32_t k = out_start_[v]; k < out_start_[v + 1]; ++k) {
         const auto e =
             static_cast<std::size_t>(out_edge_[static_cast<std::size_t>(k)]);
         const NodeId w = edges_[e].to;
-        s.p_route_fwd[w] |= rf & s.p_edge_routable[e];
-        s.p_clean_fwd[w] |= cfp & s.p_edge_clean[e];
+        const std::uint64_t w_passes =
+            is_primary_out_[w] ? ~std::uint64_t{0} : ~s.p_node_dead[w];
+        rb |= s.p_route_bwd[w] & s.p_edge_routable[e];
+        cb |= s.p_clean_bwd[w] & w_passes & s.p_edge_clean[e];
       }
-    }
-    for (const NodeId p : primary_outs_) {
-      s.p_route_bwd[p] = ~std::uint64_t{0};
-      s.p_clean_bwd[p] = ~s.p_node_dead[p];
-    }
-    for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
-      const NodeId w = *it;
-      const std::uint64_t rb = s.p_route_bwd[w];
-      const std::uint64_t cbp =
-          s.p_clean_bwd[w] &
-          (is_primary_out_[w] ? ~std::uint64_t{0} : ~s.p_node_dead[w]);
-      if (!(rb | cbp)) continue;
-      for (std::int32_t k = in_start_[w]; k < in_start_[w + 1]; ++k) {
-        const auto e =
-            static_cast<std::size_t>(in_edge_[static_cast<std::size_t>(k)]);
-        const NodeId v = edges_[e].from;
-        s.p_route_bwd[v] |= rb & s.p_edge_routable[e];
-        s.p_clean_bwd[v] |= cbp & s.p_edge_clean[e];
-      }
+      s.p_route_bwd[v] = rb;
+      s.p_clean_bwd[v] = cb;
     }
 
     // Accessibility / writability update over the dense slot arrays — the
@@ -1327,6 +1350,7 @@ void FaultMetricEngine::eval_fault_batch(Scratch& s, const Fault* faults,
                         s.p_read_acc.data(), n_slots);
     fresh |= ops.or_and2_new(s.p_writable.data(), s.p_write_acc.data(),
                              slot_shadow_.data(), n_slots);
+    s.sweep_words += 2 * topo_.size() + n_slots;
     if (!fresh) break;
 
     // Rebase onto the next fault-free snapshot and seed the per-lane
@@ -1392,6 +1416,19 @@ std::vector<bool> FaultMetricEngine::accessible_under_set(
 
 std::vector<bool> FaultMetricEngine::accessible_fault_free() const {
   return accessible_under_set({});
+}
+
+std::vector<std::vector<bool>> FaultMetricEngine::accessible_under_each(
+    const std::vector<Fault>& faults, Scratch& scratch) const {
+  FTRSN_CHECK_MSG(faults.size() <= 64, "one packed batch holds 64 faults");
+  init_packed_scratch(scratch);
+  eval_fault_batch(scratch, faults.data(), faults.size(), simd::active_ops());
+  std::vector<std::vector<bool>> acc(faults.size(),
+                                     std::vector<bool>(n_nodes_, false));
+  for (std::size_t t = 0; t < segments_.size(); ++t)
+    for (std::size_t l = 0; l < faults.size(); ++l)
+      if ((scratch.p_accessible[t] >> l) & 1) acc[l][segments_[t]] = true;
+  return acc;
 }
 
 FaultToleranceReport FaultMetricEngine::evaluate(
@@ -1463,6 +1500,7 @@ FaultToleranceReport FaultMetricEngine::evaluate_faults(
     s.packed_batches = 0;
     s.packed_lanes = 0;
     s.packed_words = 0;
+    s.sweep_words = 0;
   }
 
   // Chunk auto-tune: aim for ~16 chunks per worker so uneven fixpoint
@@ -1532,19 +1570,30 @@ FaultToleranceReport FaultMetricEngine::evaluate_faults(
             }
             ++s.packed_batches;
             s.packed_lanes += lanes;
-            for (std::size_t l = 0; l < lanes; ++l) {
-              const std::uint64_t bit = std::uint64_t{1} << l;
-              long long segs = 0, bits = 0;
-              for (std::size_t t = 0; t < counted_slots.size(); ++t) {
-                if (!(s.p_accessible[static_cast<std::size_t>(
-                          counted_slots[t])] &
-                      bit))
-                  continue;
-                ++segs;
-                bits += node_len_[counted_ids[t]];
+            // One pass over the counted slots for all lanes: tally each
+            // lane's misses (zero bits of the accessible word) and subtract
+            // them from the counted totals.
+            const std::uint64_t live =
+                lanes == 64 ? ~std::uint64_t{0}
+                            : (std::uint64_t{1} << lanes) - 1;
+            std::array<long long, 64> miss_segs{}, miss_bits{};
+            for (std::size_t t = 0; t < counted_slots.size(); ++t) {
+              std::uint64_t miss =
+                  ~s.p_accessible[static_cast<std::size_t>(counted_slots[t])] &
+                  live;
+              const long long len = node_len_[counted_ids[t]];
+              while (miss) {
+                const auto l = static_cast<std::size_t>(std::countr_zero(miss));
+                miss &= miss - 1;
+                ++miss_segs[l];
+                miss_bits[l] += len;
               }
-              results[static_cast<std::size_t>(order[lo + l])] = {segs, bits};
             }
+            for (std::size_t l = 0; l < lanes; ++l)
+              results[static_cast<std::size_t>(order[lo + l])] = {
+                  static_cast<long long>(report.counted_segments) -
+                      miss_segs[l],
+                  report.counted_bits - miss_bits[l]};
           }
         });
   } else {
@@ -1616,6 +1665,7 @@ FaultToleranceReport FaultMetricEngine::evaluate_faults(
   stats_.chunk = chunk;
   std::uint64_t lanes_total = 0;
   for (std::size_t w = 0; w < num_workers; ++w) {
+    stats_.sweep_words += scratch_cache_[w]->sweep_words;
     stats_.fixpoint_iterations += scratch_cache_[w]->iterations;
     stats_.mask_evals += scratch_cache_[w]->mask_evals;
     stats_.mask_cold_reused += scratch_cache_[w]->mask_cold_reused;
@@ -1639,6 +1689,7 @@ FaultToleranceReport FaultMetricEngine::evaluate_faults(
   if (stats_.packed_batches > 0) {
     obs::count("metric.packed_batches", stats_.packed_batches);
     obs::count("metric.packed_words", stats_.packed_words);
+    obs::count("metric.sweep_words", stats_.sweep_words);
     obs::gauge_set("metric.lane_utilization", stats_.lane_utilization);
   }
   return report;

@@ -96,6 +96,12 @@ struct MetricEngineStats {
   /// and the per-lane work is packed_words * 64 * lane_utilization).
   std::size_t packed_batches = 0;
   std::size_t packed_words = 0;
+  /// Packed mode: lane-word positions visited by the dense passes that
+  /// mask_evals does not count — the per-batch taint sweep (nodes from the
+  /// lowest data-fault site on) and, per fixpoint iteration, the forward
+  /// and backward reachability passes (every node) and the slot pass
+  /// (every segment slot).  Deterministic, like mask_evals.
+  std::size_t sweep_words = 0;
   /// Mean lane occupancy of the evaluated batches in (0, 1]; < 1 only for
   /// the partial tail word of the class list.
   double lane_utilization = 0.0;
@@ -149,6 +155,13 @@ class FaultMetricEngine {
   std::vector<bool> accessible_under_set(const std::vector<Fault>& faults) const;
   std::vector<bool> accessible_fault_free() const;
 
+  /// Accessible segments under each single fault of `faults` (at most 64),
+  /// decided by one packed batch with fault i on lane i and the stuck values
+  /// taken as given (no polarity canonicalization).  Entry i is
+  /// bit-identical to accessible_under_set({faults[i]}).
+  std::vector<std::vector<bool>> accessible_under_each(
+      const std::vector<Fault>& faults, Scratch& scratch) const;
+
   /// Statistics of the most recent evaluate/evaluate_faults call.  Not
   /// synchronised: read only after the call returns, from the same thread.
   const MetricEngineStats& last_stats() const { return stats_; }
@@ -190,7 +203,8 @@ class FaultMetricEngine {
 
   // Per-node structure-of-arrays mirrors of the RsnNode fields the inner
   // loop touches (RsnNode carries a std::string and is cache-hostile).
-  std::vector<std::uint8_t> is_segment_, has_shadow_, is_primary_out_;
+  std::vector<std::uint8_t> is_segment_, has_shadow_;
+  std::vector<std::uint8_t> is_primary_in_, is_primary_out_;
   std::vector<std::int32_t> node_sel_, node_cap_, node_upd_, node_addr_;
   std::vector<std::int32_t> node_len_;
 

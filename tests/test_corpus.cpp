@@ -1,20 +1,20 @@
 // SHA-pinned differential golden corpus (ctest -L corpus).
 //
 // Full fault-metric sweeps — every ITC'02 SoC (original + fault-tolerant
-// synthesis) plus fixed-seed random RSNs — are serialized to a canonical
-// text form (counts, hexfloat aggregates, the full per-fault distribution)
-// and digested with SHA-256.  The digests are pinned in
-// tests/data/corpus/manifest.sha256, so any semantic drift in the metric —
-// packed lanes, SIMD kernels, equivalence collapse, parallel fold — shows
-// up as a one-line digest mismatch naming the network, and replaying the
-// whole corpus takes seconds instead of the hours a legacy-loop
-// differential sweep would need.
+// synthesis), fixed-seed random RSNs and two fixed-seed gen::scale_soc
+// networks — are serialized to a canonical text form (counts, hexfloat
+// aggregates, the full per-fault distribution) and digested with SHA-256.
+// The digests are pinned in tests/data/corpus/manifest.sha256, so any
+// semantic drift in the metric — packed lanes, SIMD kernels, equivalence
+// collapse, parallel fold — shows up as a one-line digest mismatch naming
+// the network, and replaying the whole corpus takes seconds instead of the
+// hours a legacy-loop differential sweep would need.
 //
 //   FTRSN_REGOLD=1            regenerate the manifest from the scalar
 //                             engine, then verify the packed engine
 //                             reproduces it (the regold itself is judged)
-//   FTRSN_CORPUS_SOCS=a,b     SoC subset (sanitizer runs); random networks
-//                             are kept unless the list names none of them
+//   FTRSN_CORPUS_SOCS=a,b     network subset by base name (u226, rand0,
+//                             scale-u226, ...; sanitizer runs)
 //   FTRSN_CORPUS_SCALAR=0|1   force the packed-vs-scalar cross-check off /
 //                             on for every network (default: the two
 //                             smallest SoCs and the random networks)
@@ -31,6 +31,7 @@
 
 #include "fault/metric.hpp"
 #include "fault/metric_engine.hpp"
+#include "gen/scale.hpp"
 #include "itc02/itc02.hpp"
 #include "synth/synth.hpp"
 #include "util/common.hpp"
@@ -88,9 +89,10 @@ std::set<std::string> env_soc_filter() {
 }
 
 /// The corpus population: 13 ITC'02 SoCs x {orig, ft} + 3 fixed-seed
-/// random RSNs x {orig, ft}.  The packed-vs-scalar cross-check defaults to
-/// the cheap networks so the full-corpus replay stays fast; FTRSN_REGOLD
-/// and FTRSN_CORPUS_SCALAR widen it.
+/// random RSNs x {orig, ft} + 2 fixed-seed scale_soc originals.  The
+/// packed-vs-scalar cross-check defaults to the cheap networks so the
+/// full-corpus replay stays fast; FTRSN_REGOLD and FTRSN_CORPUS_SCALAR
+/// widen it.
 std::vector<CorpusNetwork> build_corpus() {
   const std::set<std::string> filter = env_soc_filter();
   const bool want = !filter.empty();
@@ -116,6 +118,20 @@ std::vector<CorpusNetwork> build_corpus() {
     const std::string base = strprintf("rand%d", i);
     if (want && !filter.count(base)) continue;
     add(base, itc02::generate_sib_rsn(random_soc(rng, 5)), true);
+  }
+  // Replicated ITC'02 templates at ~2k scan elements: deeper hierarchies
+  // and far wider fault batches than any single SoC.  Originals only —
+  // hardening them would dominate the replay.
+  for (const char* tmpl : {"u226", "p93791"}) {
+    const std::string base = std::string("scale-") + tmpl;
+    if (want && !filter.count(base)) continue;
+    gen::ScaleOptions so;
+    so.base = tmpl;
+    so.target_elements = 2000;
+    so.seed = 0x5CA1E;
+    out.push_back({base + "-orig",
+                   itc02::generate_sib_rsn(gen::scale_soc(so).soc),
+                   scalar_mode > 0});
   }
   return out;
 }

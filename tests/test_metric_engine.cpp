@@ -4,7 +4,8 @@
 // tie-break — on all 13 ITC'02 SoCs (original and fault-tolerant), on
 // random hierarchical RSNs, and at every thread count.  Also covers the
 // order-independent polarity pairing of the legacy fault-list overload,
-// multi-fault set equivalence against AccessAnalyzer, and the ThreadPool.
+// multi-fault set equivalence against AccessAnalyzer, the packed taint
+// sweep on a replicated scale_soc network, and the ThreadPool.
 //
 // FTRSN_METRIC_ITERS=N scales the sampled fault counts and random trials
 // (default 1; CI soaks run higher).
@@ -14,11 +15,14 @@
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "fault/accessibility.hpp"
 #include "fault/metric.hpp"
 #include "fault/metric_engine.hpp"
+#include "gen/scale.hpp"
 #include "itc02/itc02.hpp"
 #include "synth/synth.hpp"
 #include "util/common.hpp"
@@ -392,6 +396,176 @@ TEST(MetricEnginePacked, EveryKernelProducesIdenticalReports) {
     EXPECT_STREQ(engine.last_stats().simd_kernel, simd::kernel_name(k));
   }
   simd::reset_kernel();
+}
+
+// --- packed taint sweep on a scale network ----------------------------------
+
+/// Replicas of the u226 template (~1.5k elements by default): deeper scan
+/// hierarchies and wider data-fault cones than any single ITC'02 SoC.
+Rsn scale_network(long long elements = 1500) {
+  gen::ScaleOptions so;
+  so.base = "u226";
+  so.target_elements = elements;
+  so.seed = 0x7A1;
+  return itc02::generate_sib_rsn(gen::scale_soc(so).soc);
+}
+
+bool is_data_fault(Forcing::Point p) {
+  return p == Forcing::Point::kSegmentIn || p == Forcing::Point::kSegmentOut ||
+         p == Forcing::Point::kMuxIn || p == Forcing::Point::kMuxOut ||
+         p == Forcing::Point::kPrimaryIn;
+}
+
+/// Scan-graph predecessors of `id` (the inverse of Rsn::successors).
+std::vector<NodeId> scan_preds(const Rsn& rsn, NodeId id) {
+  const RsnNode& n = rsn.node(id);
+  if (n.is_mux()) return {n.mux_in[0], n.mux_in[1]};
+  if (n.is_segment() || n.kind == NodeKind::kPrimaryOut) return {n.scan_in};
+  return {};
+}
+
+/// Nodes with a scan path to `id`, `id` included.
+std::set<NodeId> ancestors_of(const Rsn& rsn, NodeId id) {
+  std::set<NodeId> seen{id};
+  std::vector<NodeId> stack{id};
+  while (!stack.empty()) {
+    const NodeId v = stack.back();
+    stack.pop_back();
+    for (const NodeId u : scan_preds(rsn, v))
+      if (seen.insert(u).second) stack.push_back(u);
+  }
+  return seen;
+}
+
+TEST(MetricEnginePacked, TaintSweepScaleSocEveryFaultPoint) {
+  // Sampled list over every Forcing::Point at both stuck values, judged
+  // against the scalar engine (check_packed_vs_scalar, 1/2/8 threads).
+  // enumerate_faults never emits kShadowReplica, so replica forcings of
+  // shadowed segments are added by hand.
+  const Rsn rsn = scale_network();
+  const auto all = enumerate_faults(rsn);
+  std::vector<Fault> faults =
+      sample_faults(all, 900 * static_cast<std::size_t>(metric_iters()),
+                    0x5EED);
+  std::set<std::pair<int, bool>> covered;
+  for (const Fault& f : faults)
+    covered.insert({static_cast<int>(f.forcing.point), f.forcing.value});
+  for (const Fault& f : all)
+    if (covered.insert({static_cast<int>(f.forcing.point), f.forcing.value})
+            .second)
+      faults.push_back(f);
+  int replicas = 0;
+  for (NodeId id = 0; id < rsn.num_nodes() && replicas < 40; ++id) {
+    if (!rsn.node(id).is_segment() || !rsn.node(id).has_shadow) continue;
+    Fault f;
+    f.forcing.point = Forcing::Point::kShadowReplica;
+    f.forcing.node = id;
+    f.forcing.value = (replicas++ % 2) != 0;
+    faults.push_back(f);
+    covered.insert({static_cast<int>(f.forcing.point), f.forcing.value});
+  }
+  EXPECT_EQ(covered.size(), 18u) << "9 fault points x 2 stuck values";
+
+  const FaultMetricEngine engine(rsn);
+  check_packed_vs_scalar(engine, faults, /*collapse=*/false, "scale-sampled");
+  check_packed_vs_scalar(engine, faults, /*collapse=*/true,
+                         "scale-sampled-collapse");
+  EXPECT_GT(engine.last_stats().sweep_words, 0u);
+}
+
+TEST(MetricEnginePacked, TaintSweepNestedOverlappingMixedPolarityBatch) {
+  // One hand-built 64-lane batch of data faults, all on scan ancestors of
+  // the topologically last segment, so every cone reaches it and the cones
+  // overlap there.  Lanes come in pairs on one site (SegmentIn/SegmentOut,
+  // MuxIn/MuxOut: equal cones, different self-taint) with opposite stuck
+  // values, and the pairs are spread from the top of the network to the
+  // bottom, so upstream cones contain the downstream ones of the other
+  // polarity.  accessible_under_each keeps the given polarities, so the
+  // stuck-1 taint words are exercised too; every lane must match the
+  // scalar single-fault evaluation and the legacy analyzer.  The batch runs
+  // again with every polarity flipped on the same scratch, which catches
+  // taint words leaking from one batch into the next.
+  const Rsn rsn = scale_network();
+  const std::vector<NodeId> topo = rsn.topo_order();
+  NodeId deep = kInvalidNode;
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it)
+    if (rsn.node(*it).is_segment()) {
+      deep = *it;
+      break;
+    }
+  ASSERT_NE(deep, kInvalidNode);
+  const std::set<NodeId> upstream = ancestors_of(rsn, deep);
+
+  std::vector<Fault> sites;  // enumeration order keeps a site's points adjacent
+  for (const Fault& f : enumerate_faults(rsn))
+    if (is_data_fault(f.forcing.point) && !f.forcing.value &&
+        upstream.count(f.forcing.node))
+      sites.push_back(f);
+  ASSERT_GE(sites.size(), 64u);
+  std::vector<Fault> lanes;
+  for (std::size_t p = 0; p < 32; ++p) {
+    const std::size_t i = p * (sites.size() - 1) / 32;
+    for (std::size_t k = 0; k < 2; ++k) {
+      Fault f = sites[i + k];
+      f.forcing.value = k != 0;
+      lanes.push_back(f);
+    }
+  }
+  bool shared_site = false, nested_opposite = false;
+  for (std::size_t a = 0; a < lanes.size(); ++a) {
+    const std::set<NodeId> above_a = ancestors_of(rsn, lanes[a].forcing.node);
+    for (std::size_t b = 0; b < lanes.size(); ++b) {
+      const NodeId na = lanes[a].forcing.node, nb = lanes[b].forcing.node;
+      if (a != b && na == nb &&
+          lanes[a].forcing.point != lanes[b].forcing.point)
+        shared_site = true;
+      if (na != nb && above_a.count(nb) &&
+          lanes[a].forcing.value != lanes[b].forcing.value)
+        nested_opposite = true;
+    }
+  }
+  EXPECT_TRUE(shared_site);
+  EXPECT_TRUE(nested_opposite);
+
+  const FaultMetricEngine engine(rsn);
+  const AccessAnalyzer analyzer(rsn);
+  const auto scratch = engine.make_scratch();
+  for (int round = 0; round < 2; ++round) {
+    const std::vector<std::vector<bool>> packed =
+        engine.accessible_under_each(lanes, *scratch);
+    ASSERT_EQ(packed.size(), lanes.size());
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      const std::vector<Fault> one{lanes[l]};
+      EXPECT_EQ(packed[l], engine.accessible_under_set(one, *scratch))
+          << "round " << round << " lane " << l;
+      EXPECT_EQ(packed[l], analyzer.accessible_under_set(one))
+          << "round " << round << " lane " << l;
+    }
+    for (Fault& f : lanes) f.forcing.value = !f.forcing.value;
+  }
+}
+
+TEST(MetricEnginePacked, ScaleSocDigestsThreadInvariant) {
+  // Full-universe packed sweep of the scale network: the canonical report
+  // digest must not depend on the worker count.
+  const Rsn rsn = scale_network();
+  const FaultMetricEngine engine(rsn);
+  MetricEngineOptions eo;
+  eo.metric.keep_distribution = true;
+  std::string first;
+  std::size_t sweep_words = 0;
+  for (const int threads : {1, 2, 4}) {
+    eo.threads = threads;
+    const std::string d = report_digest("scale", engine.evaluate(eo));
+    if (first.empty()) {
+      first = d;
+      sweep_words = engine.last_stats().sweep_words;
+      continue;
+    }
+    EXPECT_EQ(d, first) << "threads=" << threads;
+    EXPECT_EQ(engine.last_stats().sweep_words, sweep_words)
+        << "threads=" << threads;
+  }
 }
 
 // --- ThreadPool -------------------------------------------------------------

@@ -2,7 +2,8 @@
 # CI driver for the ftrsn repository:
 #   1. regular build + full test suite, then the SHA-pinned differential
 #      corpus judge (tools/judge.sh: packed 64-lane sweeps of every
-#      ITC'02 SoC digested and compared against
+#      ITC'02 SoC, the fixed-seed random RSNs and two ~2k-element
+#      scale_soc networks digested and compared against
 #      tests/data/corpus/manifest.sha256);
 #   2. ASan+UBSan build + full test suite, then deeper soaks of the
 #      oracle differential suite (ctest -L oracle, scaled by

@@ -2,11 +2,12 @@
 # Differential corpus judge for the fault-metric engine.
 #
 # Replays the SHA-pinned golden corpus (tests/test_corpus.cpp): full
-# metric sweeps over every ITC'02 SoC (original + fault-tolerant) and the
-# fixed-seed random RSNs, digested to SHA-256 and compared against
-# tests/data/corpus/manifest.sha256.  Packed 64-lane digests must agree
-# at 1/2/8 threads and match the pin; the cheap networks are additionally
-# cross-checked against the scalar engine on every replay.
+# metric sweeps over every ITC'02 SoC (original + fault-tolerant), the
+# fixed-seed random RSNs and two fixed-seed scale_soc networks (u226 and
+# p93791 templates, ~2k scan elements), digested to SHA-256 and compared
+# against tests/data/corpus/manifest.sha256.  Packed 64-lane digests
+# must agree at 1/2/8 threads and match the pin; the cheap networks are
+# additionally cross-checked against the scalar engine on every replay.
 #
 # Usage:
 #   tools/judge.sh [build-dir]        replay the pinned corpus (default
@@ -14,7 +15,8 @@
 #   FTRSN_REGOLD=1 tools/judge.sh     regenerate the manifest (every
 #                                     network is scalar cross-checked
 #                                     before its digest is pinned)
-#   FTRSN_CORPUS_SOCS=u226,d695 ...   subset replay (sanitizer runs)
+#   FTRSN_CORPUS_SOCS=u226,d695 ...   subset replay by base name (u226,
+#                                     rand0, scale-u226, ...; sanitizer runs)
 #   FTRSN_CORPUS_SCALAR=1 ...         scalar cross-check on every network
 #   FTRSN_SIMD=scalar|unrolled|...    pin the SIMD kernel under judgment
 set -euo pipefail
