@@ -300,9 +300,11 @@ int main(int argc, char** argv) {
     if (stats) {
       const lint::LintStats& s = lint::lint_stats();
       std::fprintf(stderr,
-                   "%s: lint-stats: sat=%llu tristate=%llu cache-hits=%llu "
+                   "%s: lint-stats: sim-witnessed=%llu sat=%llu "
+                   "tristate=%llu cache-hits=%llu "
                    "incremental-updates=%llu full-recomputes=%llu\n",
                    path.c_str(),
+                   static_cast<unsigned long long>(s.cones_sim_witnessed),
                    static_cast<unsigned long long>(s.cones_solved_sat),
                    static_cast<unsigned long long>(s.cones_solved_tristate),
                    static_cast<unsigned long long>(s.cache_hits),

@@ -1,7 +1,6 @@
 #include "lint/cone_oracle.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "obs/obs.hpp"
 #include "sat/cnf.hpp"
@@ -19,6 +18,10 @@ obs::Counter& c_sat() {
 }
 obs::Counter& c_tristate() {
   static obs::Counter c("lint.cones_solved_tristate");
+  return c;
+}
+obs::Counter& c_sim() {
+  static obs::Counter c("lint.cones_sim_witnessed");
   return c;
 }
 obs::Counter& c_cache_hits() {
@@ -44,6 +47,7 @@ LintStats lint_stats() {
   LintStats s;
   s.cones_solved_sat = c_sat().value();
   s.cones_solved_tristate = c_tristate().value();
+  s.cones_sim_witnessed = c_sim().value();
   s.cache_hits = c_cache_hits().value();
   s.incremental_updates = c_incremental().value();
   s.full_recomputes = c_full().value();
@@ -53,6 +57,7 @@ LintStats lint_stats() {
 void reset_lint_stats() {
   c_sat().reset();
   c_tristate().reset();
+  c_sim().reset();
   c_cache_hits().reset();
   c_incremental().reset();
   c_full().reset();
@@ -65,8 +70,10 @@ bool is_ctrl_atom(CtrlOp op) {
 
 std::vector<CtrlRef> cone_of(const CtrlPool& pool, CtrlRef r,
                              std::size_t max_nodes) {
+  static_cast<void>(pool.node(r));  // rejects an out-of-pool root
+  std::vector<char> seen(pool.size(), 0);
+  seen[static_cast<std::size_t>(r)] = 1;
   std::vector<CtrlRef> stack{r};
-  std::set<CtrlRef> seen{r};
   std::vector<CtrlRef> cone;
   while (!stack.empty()) {
     const CtrlRef t = stack.back();
@@ -77,8 +84,13 @@ std::vector<CtrlRef> cone_of(const CtrlPool& pool, CtrlRef r,
     if (cone.size() >= max_nodes) return {};
     cone.push_back(t);
     const CtrlNode& n = pool.node(t);
-    for (int i = 0; i < n.arity(); ++i)
-      if (seen.insert(n.kid[i]).second) stack.push_back(n.kid[i]);
+    for (int i = 0; i < n.arity(); ++i) {
+      char& s = seen[static_cast<std::size_t>(n.kid[i])];
+      if (!s) {
+        s = 1;
+        stack.push_back(n.kid[i]);
+      }
+    }
   }
   std::sort(cone.begin(), cone.end());
   return cone;
@@ -139,7 +151,98 @@ namespace {
 /// path is exact anyway.
 constexpr std::size_t kEnumHardLimit = 26;
 
+/// Seed of the simulation patterns.  Fixed, like the lane count, so every
+/// run asks the exact engines the same residual queries.
+constexpr std::uint64_t kSimSeed = 0x5EED0C0DE0F7A11ull;
+
+std::uint64_t mix64(std::uint64_t x) {  // splitmix64 finalizer
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// Pattern word `w` of an atom.  The hash covers the op, the segment and
+/// the bit but not the replica: the replicas of one shadow bit hold one
+/// physical value, so they agree in every lane.
+std::uint64_t atom_word(const CtrlNode& n, std::size_t w) {
+  std::uint64_t h = mix64(kSimSeed ^ static_cast<std::uint64_t>(n.op));
+  h = mix64(h ^ n.seg);
+  h = mix64(h ^ n.bit);
+  return mix64(h ^ w);
+}
+
 }  // namespace
+
+void ConeOracle::simulate() {
+  constexpr std::size_t W = kSimWords;
+  std::size_t r = sim_.size() / W;
+  sim_.resize(pool_.size() * W);
+  // Interning appends parents after their children, so ascending ref
+  // order is a bottom-up order and one pass evaluates every node.
+  for (; r < pool_.size(); ++r) {
+    const CtrlNode& n = pool_.node(static_cast<CtrlRef>(r));
+    std::uint64_t* out = &sim_[r * W];
+    const auto kid = [&](int k) {
+      return &sim_[static_cast<std::size_t>(n.kid[k]) * W];
+    };
+    for (std::size_t w = 0; w < W; ++w) {
+      switch (n.op) {
+        case CtrlOp::kConst:
+          out[w] = n.bit ? ~std::uint64_t{0} : 0;
+          break;
+        case CtrlOp::kEnable:
+        case CtrlOp::kPortSel:
+        case CtrlOp::kShadowBit:
+          out[w] = atom_word(n, w);
+          break;
+        case CtrlOp::kNot:
+          out[w] = ~kid(0)[w];
+          break;
+        case CtrlOp::kAnd:
+          out[w] = kid(0)[w] & kid(1)[w];
+          break;
+        case CtrlOp::kOr:
+          out[w] = kid(0)[w] | kid(1)[w];
+          break;
+        case CtrlOp::kMaj3: {
+          const std::uint64_t a = kid(0)[w], b = kid(1)[w], c = kid(2)[w];
+          out[w] = (a & b) | (a & c) | (b & c);
+          break;
+        }
+      }
+    }
+  }
+}
+
+std::uint64_t ConeOracle::sim_word(CtrlRef r, std::size_t w) {
+  static_cast<void>(pool_.node(r));  // rejects an out-of-pool ref
+  FTRSN_CHECK(w < kSimWords);
+  simulate();
+  return sim_[static_cast<std::size_t>(r) * kSimWords + w];
+}
+
+bool ConeOracle::sim_witness(CtrlRef root, bool value,
+                             const std::map<CtrlRef, int>& forced) {
+  const auto in_pool = [&](CtrlRef r) {
+    return r >= 0 && static_cast<std::size_t>(r) < pool_.size();
+  };
+  // Out-of-pool refs are left to the exact path, which reports them.
+  if (!in_pool(root)) return false;
+  for (const auto& entry : forced)
+    if (!in_pool(entry.first)) return false;
+  simulate();
+  const auto word = [&](CtrlRef r, std::size_t w) {
+    return sim_[static_cast<std::size_t>(r) * kSimWords + w];
+  };
+  for (std::size_t w = 0; w < kSimWords; ++w) {
+    std::uint64_t lanes = value ? word(root, w) : ~word(root, w);
+    for (auto it = forced.begin(); lanes != 0 && it != forced.end(); ++it)
+      lanes &= it->second ? word(it->first, w) : ~word(it->first, w);
+    if (lanes != 0) return true;
+  }
+  return false;
+}
 
 bool ConeOracle::satisfiable(CtrlRef root, bool value,
                              const std::map<CtrlRef, int>& forced) {
@@ -148,6 +251,13 @@ bool ConeOracle::satisfiable(CtrlRef root, bool value,
   if (hit != cache_.end()) {
     c_cache_hits().add();
     return hit->second;
+  }
+  // A simulated lane is a concrete assignment: a witness is a proof.  No
+  // witness proves nothing, so those queries go on to the exact engines.
+  if (backend_ == ConeBackend::kAuto && sim_witness(root, value, forced)) {
+    c_sim().add();
+    cache_.emplace(std::move(key), true);
+    return true;
   }
 
   if (pos_.size() < pool_.size()) pos_.resize(pool_.size(), -1);

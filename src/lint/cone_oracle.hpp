@@ -17,6 +17,13 @@
 // the CDCL SAT solver (via the sat/cnf.hpp Tseitin encoder, the same
 // substrate the paper uses for scan-path existence) above a configurable
 // atom threshold.  Results are memoized per pool and query.
+//
+// The default kAuto backend puts a simulation stage in front of all that:
+// one bottom-up pass evaluates the whole pool under a fixed set of random
+// patterns, and a query whose root takes the asked value in some pattern
+// that also honours `forced` is answered "satisfiable" from that witness
+// alone.  Only queries without a witness reach the exact engines; the
+// simulation never answers "unsatisfiable" (DESIGN.md §5c).
 #pragma once
 
 #include <cstdint>
@@ -33,7 +40,8 @@ namespace ftrsn::lint {
 enum class ConeBackend : std::uint8_t {
   kTristate,  ///< exhaustive enumeration, whatever the cone size
   kSat,       ///< CDCL SAT on the Tseitin-encoded cone, always
-  kAuto,      ///< enumeration up to `max_atoms` free atoms, SAT above
+  kAuto,      ///< simulation witnesses first; for the rest, enumeration
+              ///< up to `max_atoms` free atoms, SAT above
 };
 
 /// Counters of the analysis machinery, for `rsn-lint --lint-stats` and the
@@ -44,6 +52,7 @@ enum class ConeBackend : std::uint8_t {
 struct LintStats {
   std::uint64_t cones_solved_sat = 0;       ///< oracle queries decided by SAT
   std::uint64_t cones_solved_tristate = 0;  ///< ... by exhaustive enumeration
+  std::uint64_t cones_sim_witnessed = 0;    ///< ... by a simulation witness
   std::uint64_t cache_hits = 0;             ///< oracle memo-cache hits
   std::uint64_t incremental_updates = 0;    ///< AugmentLintCache edge deltas
   std::uint64_t full_recomputes = 0;        ///< from-scratch augment analyses
@@ -101,7 +110,21 @@ class ConeOracle {
   ConeBackend backend() const { return backend_; }
   std::size_t max_atoms() const { return max_atoms_; }
 
+  /// Simulation patterns per pool node (kAuto only): 4 words of 64 lanes.
+  static constexpr std::size_t kSimWords = 4;
+
+  /// Simulation word `w` of pool node `r` (bit k = its value in pattern
+  /// 64w+k), simulating first if needed; the tests replay witness lanes.
+  std::uint64_t sim_word(CtrlRef r, std::size_t w);
+
  private:
+  /// Extends the simulation words to every pool node not simulated yet:
+  /// the whole pool on the first query, nodes interned since on later ones.
+  void simulate();
+  /// Some simulated lane honours `forced` and gives `root` the value
+  /// `value`: a concrete assignment, hence a proof of satisfiability.
+  bool sim_witness(CtrlRef root, bool value,
+                   const std::map<CtrlRef, int>& forced);
   /// `screened` holds the per-position tristate values of the screening
   /// pass; enumeration re-evaluates only its X positions.
   bool solve_enum(const std::vector<CtrlRef>& cone,
@@ -120,6 +143,10 @@ class ConeOracle {
   /// per-access binary search — the rules fire thousands of queries whose
   /// cones cover most of a many-thousand-node pool.
   mutable std::vector<std::int32_t> pos_;
+
+  /// kSimWords words per pool node, node-major; replicas of one shadow
+  /// bit share their words, so TMR voters see agreeing inputs.
+  std::vector<std::uint64_t> sim_;
 
   /// Memo per (root, wanted value, forced assignment).
   using Key = std::pair<std::pair<CtrlRef, bool>,

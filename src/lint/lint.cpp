@@ -340,27 +340,40 @@ void rule_const_false_select(const Ctx& c, std::vector<Diagnostic>& out) {
 }
 
 void rule_select_self_loop(const Ctx& c, std::vector<Diagnostic>& out) {
+  // Every shadow atom of each segment that the pool holds.  Forcing all of
+  // them to the reset value asks exactly what forcing only the in-cone
+  // ones asks (atoms outside the cone cannot move the select), so the
+  // common satisfiable case needs no cone walk.
+  std::vector<std::vector<CtrlRef>> own(c.rsn.num_nodes());
+  for (CtrlRef r = 0; static_cast<std::size_t>(r) < c.pool.size(); ++r) {
+    const CtrlNode& a = c.pool.node(r);
+    if (a.op == CtrlOp::kShadowBit && a.seg < own.size() && a.bit < 64)
+      own[a.seg].push_back(r);
+  }
   for (NodeId id = 0; id < c.rsn.num_nodes(); ++id) {
     const RsnNode& n = c.rsn.node(id);
     if (!n.is_segment() || !n.has_shadow || !ctrl_ok(c, n.select)) continue;
-    const auto cone = cone_of(c.pool, n.select);
+    if (own[id].empty()) continue;  // the pool never reads its shadow
     std::map<CtrlRef, int> forced;
-    for (CtrlRef r : cone) {
-      const CtrlNode& a = c.pool.node(r);
-      if (a.op == CtrlOp::kShadowBit && a.seg == id && a.bit < 64)
-        forced[r] = static_cast<int>((n.reset_shadow >> a.bit) & 1);
-    }
-    if (forced.empty()) continue;  // select independent of own shadow
-    if (c.oracle->provably_const(n.select, false, forced))
-      out.push_back(
-          {.node = id,
-           .ctrl = n.select,
-           .message = "select depends on the segment's own shadow register "
-                      "and is FALSE in the reset configuration: the segment "
-                      "can never bootstrap its own select (§III-E "
-                      "bootstrap deadlock)",
-           .hint = "seed reset_shadow so the select is asserted, or gate "
-                   "the select with independent control"});
+    for (const CtrlRef r : own[id])
+      forced[r] = static_cast<int>((n.reset_shadow >> c.pool.node(r).bit) & 1);
+    if (c.oracle->satisfiable(n.select, true, forced)) continue;
+    // FALSE at reset: a finding only if the select reads its own shadow
+    // at all (otherwise const-false-select reports it).
+    const auto cone = cone_of(c.pool, n.select);
+    if (std::none_of(cone.begin(), cone.end(), [&](CtrlRef r) {
+          return std::binary_search(own[id].begin(), own[id].end(), r);
+        }))
+      continue;
+    out.push_back(
+        {.node = id,
+         .ctrl = n.select,
+         .message = "select depends on the segment's own shadow register "
+                    "and is FALSE in the reset configuration: the segment "
+                    "can never bootstrap its own select (§III-E "
+                    "bootstrap deadlock)",
+         .hint = "seed reset_shadow so the select is asserted, or gate "
+                 "the select with independent control"});
   }
 }
 
@@ -868,13 +881,29 @@ Severity rule_severity(const LintOptions& opts, const RuleInfo& info) {
   return it != opts.severity.end() ? it->second : info.severity;
 }
 
+/// "lint.rule.<id>" span names, parallel to `table`, built once so an
+/// untraced run allocates nothing for them.
+template <typename Rule>
+const std::vector<std::string>& rule_spans(const std::vector<Rule>& table) {
+  static const std::vector<std::string> kSpans = [&] {
+    std::vector<std::string> spans;
+    for (const Rule& rule : table) spans.push_back("lint.rule." + rule.info.id);
+    return spans;
+  }();
+  return kSpans;
+}
+
 }  // namespace
 
 std::vector<Diagnostic> LintRunner::run(const Rsn& rsn) const {
   const Ctx ctx = make_ctx(rsn, options_);
+  const std::vector<RsnRule>& table = rsn_rule_table();
+  const std::vector<std::string>& spans = rule_spans(table);
   std::vector<Diagnostic> out;
-  for (const RsnRule& rule : rsn_rule_table()) {
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const RsnRule& rule = table[i];
     if (!rule_enabled(options_, rule.info)) continue;
+    OBS_SPAN(spans[i]);
     const std::size_t from = out.size();
     rule.fn(ctx, out);
     stamp(out, from, rule.info, rule_severity(options_, rule.info));
@@ -883,9 +912,13 @@ std::vector<Diagnostic> LintRunner::run(const Rsn& rsn) const {
 }
 
 std::vector<Diagnostic> LintRunner::run(const DataflowGraph& g) const {
+  const std::vector<GraphRule>& table = graph_rule_table();
+  const std::vector<std::string>& spans = rule_spans(table);
   std::vector<Diagnostic> out;
-  for (const GraphRule& rule : graph_rule_table()) {
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const GraphRule& rule = table[i];
     if (!rule_enabled(options_, rule.info)) continue;
+    OBS_SPAN(spans[i]);
     const std::size_t from = out.size();
     rule.fn(g, out);
     stamp(out, from, rule.info, rule_severity(options_, rule.info));

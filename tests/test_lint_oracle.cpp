@@ -137,6 +137,137 @@ TEST(LintOracle, BackendsAgreeUnderForcedAtoms) {
   }
 }
 
+// --- simulation stage soundness ----------------------------------------------
+
+/// A random pool over shadow atoms with TMR replicas (3 replicas of each
+/// (segment, bit)), port selects and majority voters over replica triples,
+/// like a hardened select pool.  Returns every node built, atoms first.
+std::vector<CtrlRef> random_replicated_pool(CtrlPool& pool, Rng& rng,
+                                            std::vector<CtrlRef>& atoms) {
+  std::vector<CtrlRef> refs{kCtrlFalse, kCtrlTrue};
+  const int segs = static_cast<int>(rng.next_range(1, 4));
+  for (int s = 0; s < segs; ++s) {
+    const int bits = static_cast<int>(rng.next_range(1, 2));
+    for (int b = 0; b < bits; ++b) {
+      std::vector<CtrlRef> rep;
+      for (int k = 0; k < 3; ++k)
+        rep.push_back(pool.shadow_bit(static_cast<NodeId>(s),
+                                      static_cast<std::uint16_t>(b),
+                                      static_cast<std::uint8_t>(k)));
+      atoms.insert(atoms.end(), rep.begin(), rep.end());
+      refs.insert(refs.end(), rep.begin(), rep.end());
+      refs.push_back(pool.mk_maj3(rep[0], rep[1], rep[2],
+                                  static_cast<std::uint16_t>(s * 8 + b)));
+    }
+  }
+  for (int i = static_cast<int>(rng.next_range(0, 2)); i > 0; --i) {
+    atoms.push_back(pool.port_select_input(static_cast<std::uint16_t>(i)));
+    refs.push_back(atoms.back());
+  }
+  const auto any = [&] {
+    return refs[static_cast<std::size_t>(rng.next_below(refs.size()))];
+  };
+  const int gates = static_cast<int>(rng.next_range(1, 30));
+  for (int i = 0; i < gates; ++i) {
+    switch (rng.next_below(5)) {
+      case 0: refs.push_back(pool.mk_not(any())); break;
+      case 1: refs.push_back(pool.mk_and(any(), any())); break;
+      case 2: refs.push_back(pool.mk_or(any(), any())); break;
+      case 3: refs.push_back(pool.mk_maj3(any(), any(), any())); break;
+      case 4:  // a wide AND: rarely true, so simulation often misses it
+        refs.push_back(pool.mk_and(pool.mk_and(any(), any()),
+                                   pool.mk_and(any(), any())));
+        break;
+    }
+  }
+  return refs;
+}
+
+/// Concrete value of `root` in simulation lane `lane` of `oracle`: every
+/// atom takes its own pattern bit, the gates are evaluated here from the
+/// pool's definition, independently of the oracle's word arithmetic.
+bool replay_lane(const CtrlPool& pool, ConeOracle& oracle, CtrlRef root,
+                 std::size_t lane) {
+  const std::vector<CtrlRef> cone = lint::cone_of(pool, root);
+  std::map<CtrlRef, int> val;
+  for (const CtrlRef r : cone)
+    if (lint::is_ctrl_atom(pool.node(r).op))
+      val[r] = static_cast<int>(
+          (oracle.sim_word(r, lane / 64) >> (lane % 64)) & 1);
+  return lint::tristate_eval(pool, cone, root, val) == 1;
+}
+
+TEST(LintOracle, SimulationWitnessesAreSoundAndAutoMatchesExact) {
+  Rng rng(0x5eed0007);
+  const std::size_t iters = scaled(300);
+  const std::size_t lanes = ConeOracle::kSimWords * 64;
+  std::size_t witnessed = 0, exact_sat = 0, unsat = 0;
+  for (std::size_t it = 0; it < iters; ++it) {
+    CtrlPool pool;
+    std::vector<CtrlRef> atoms;
+    const std::vector<CtrlRef> refs = random_replicated_pool(pool, rng, atoms);
+    ConeOracle aut(pool, ConeBackend::kAuto);
+    ConeOracle sat(pool, ConeBackend::kSat);
+    ConeOracle tri(pool, ConeBackend::kTristate);
+
+    // Replicas of one shadow bit share their pattern words.
+    for (const CtrlRef a : atoms)
+      for (const CtrlRef b : atoms) {
+        const CtrlNode& x = pool.node(a);
+        const CtrlNode& y = pool.node(b);
+        if (x.op == CtrlOp::kShadowBit && y.op == CtrlOp::kShadowBit &&
+            x.seg == y.seg && x.bit == y.bit)
+          for (std::size_t w = 0; w < ConeOracle::kSimWords; ++w)
+            ASSERT_EQ(aut.sim_word(a, w), aut.sim_word(b, w));
+      }
+
+    for (int q = 0; q < 8; ++q) {
+      const CtrlRef root =
+          refs[static_cast<std::size_t>(rng.next_below(refs.size()))];
+      const bool value = rng.next_bool();
+      // Random forcing: usually consistent across replicas (a reset
+      // value), sometimes not, sometimes none.
+      std::map<CtrlRef, int> forced;
+      const int mode = static_cast<int>(rng.next_below(4));
+      for (const CtrlRef a : atoms) {
+        if (mode == 0 || rng.next_below(3) != 0) continue;
+        const CtrlNode& n = pool.node(a);
+        forced[a] = mode == 3 ? static_cast<int>(rng.next_below(2))
+                              : static_cast<int>((n.seg + n.bit + mode) & 1);
+      }
+
+      // Every witness lane, replayed concretely, honours the query.
+      bool has_witness = false;
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        const auto bit = [&](CtrlRef r) {
+          return static_cast<int>(
+              (aut.sim_word(r, lane / 64) >> (lane % 64)) & 1);
+        };
+        bool ok = bit(root) == static_cast<int>(value);
+        for (const auto& [a, v] : forced) ok = ok && bit(a) == v;
+        has_witness = has_witness || ok;
+        if (ok)
+          ASSERT_EQ(replay_lane(pool, aut, root, lane), value)
+              << "simulated lane " << lane << " is not a real witness (iter "
+              << it << ")";
+      }
+
+      const bool expect = sat.satisfiable(root, value, forced);
+      EXPECT_EQ(tri.satisfiable(root, value, forced), expect)
+          << "tristate vs SAT (iter " << it << ", query " << q << ")";
+      EXPECT_EQ(aut.satisfiable(root, value, forced), expect)
+          << "simulation-first auto vs SAT (iter " << it << ", query " << q
+          << ")";
+      (has_witness ? witnessed : expect ? exact_sat : unsat) += 1;
+    }
+  }
+  // Every path was taken: simulation witnesses, satisfiable queries only
+  // the exact engines could prove (wide ANDs), and unsatisfiable ones.
+  EXPECT_GT(witnessed, 0u);
+  EXPECT_GT(exact_sat, 0u);
+  EXPECT_GT(unsat, 0u);
+}
+
 // --- cone_of boundary -------------------------------------------------------
 
 TEST(LintOracle, ConeOfExactLimitIsReturnedInFull) {

@@ -22,12 +22,15 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/batch.hpp"
+#include "itc02/itc02.hpp"
+#include "lint/lint.hpp"
 #include "obs/diff.hpp"
 #include "obs/obs.hpp"
 #include "util/json.hpp"
@@ -211,6 +214,31 @@ TEST(Obs, ReportStagesSumMatchesDepthZeroSpans) {
   EXPECT_NE(report.find("stage.b"), std::string::npos);
   EXPECT_NE(report.find("\"stages_total_seconds\""), std::string::npos);
   EXPECT_NE(report.find("\"peak_rss_kb\""), std::string::npos);
+}
+
+TEST(Obs, TracedLintReportsOneSpanFamilyPerEnabledRule) {
+  const Rsn rsn = itc02::generate_sib_rsn(itc02::socs().front());
+  lint::LintOptions opts;
+  opts.ft_rules = true;
+  opts.enabled["scan-cycle"] = false;
+  std::set<std::string> want;
+  for (const lint::RuleInfo& r : lint::LintRunner::rules())
+    if (r.stage != lint::RuleStage::kDataflow &&
+        r.stage != lint::RuleStage::kAugment && r.id != "scan-cycle")
+      want.insert("lint.rule." + r.id);
+
+  obs::reset();
+  obs::enable(true);
+  lint::lint_rsn(rsn, opts);
+  obs::enable(false);
+  std::set<std::string> got;
+  for (const auto& [name, h] : obs::histograms_snapshot())
+    if (name.rfind("lint.rule.", 0) == 0) {
+      got.insert(name);
+      EXPECT_EQ(h.count, 1u) << name;
+    }
+  EXPECT_EQ(got, want);
+  obs::reset();
 }
 
 TEST(Obs, DisabledModeOverheadSmoke) {
