@@ -7,8 +7,6 @@
 //   --ft                 enable the post-synthesis fault-tolerance rules
 //   --disable=ID         turn a rule off (repeatable)
 //   --severity=ID:LEVEL  override a rule's severity (error|warning|info)
-//   --cone-backend=B     how cone queries are decided: tristate|sat|auto
-//   --cone-max-atoms=N   auto backend: enumerate up to N free atoms (def. 10)
 //   --fix                auto-repair fixable findings, rewrite the file
 //   --fix-dry-run        run the repair engine, report, write nothing
 //   --fix-out=PATH       write the repaired network to PATH (one input file)
@@ -32,7 +30,6 @@
 // deliberately broken networks can be analyzed instead of aborting the
 // parse.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -54,8 +51,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: rsn_lint [--json] [--sarif] [--ft] [--disable=ID]\n"
                "                [--severity=ID:error|warning|info]\n"
-               "                [--cone-backend=tristate|sat|auto]\n"
-               "                [--cone-max-atoms=N] [--lint-stats]\n"
+               "                [--lint-stats]\n"
                "                [--fix | --fix-dry-run] [--fix-out=PATH]\n"
                "                [--fix-verify=sat|metric|off]\n"
                "                [--trace=PATH] [--report=PATH]\n"
@@ -81,18 +77,6 @@ int list_rules() {
                 lint::severity_name(r.severity), stage_name(r.stage),
                 r.paper_ref.c_str(), r.summary.c_str());
   return 0;
-}
-
-bool parse_backend(const std::string& name, lint::LintOptions& opts) {
-  if (name == "tristate")
-    opts.cone_backend = lint::ConeBackend::kTristate;
-  else if (name == "sat")
-    opts.cone_backend = lint::ConeBackend::kSat;
-  else if (name == "auto")
-    opts.cone_backend = lint::ConeBackend::kAuto;
-  else
-    return false;
-  return true;
 }
 
 bool parse_severity(const std::string& spec, lint::LintOptions& opts) {
@@ -175,13 +159,6 @@ int main(int argc, char** argv) {
       opts.enabled[arg.substr(10)] = false;
     } else if (arg.rfind("--severity=", 0) == 0) {
       if (!parse_severity(arg.substr(11), opts)) return usage();
-    } else if (arg.rfind("--cone-backend=", 0) == 0) {
-      if (!parse_backend(arg.substr(15), opts)) return usage();
-    } else if (arg.rfind("--cone-max-atoms=", 0) == 0) {
-      char* end = nullptr;
-      const long n = std::strtol(arg.c_str() + 17, &end, 10);
-      if (end == nullptr || *end != '\0' || n < 0) return usage();
-      opts.cone_max_atoms = static_cast<std::size_t>(n);
     } else if (arg == "--fix") {
       fix = true;
     } else if (arg == "--fix-dry-run") {

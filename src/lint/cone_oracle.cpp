@@ -68,8 +68,7 @@ bool is_ctrl_atom(CtrlOp op) {
          op == CtrlOp::kShadowBit;
 }
 
-std::vector<CtrlRef> cone_of(const CtrlPool& pool, CtrlRef r,
-                             std::size_t max_nodes) {
+std::vector<CtrlRef> cone_of(const CtrlPool& pool, CtrlRef r) {
   static_cast<void>(pool.node(r));  // rejects an out-of-pool root
   std::vector<char> seen(pool.size(), 0);
   seen[static_cast<std::size_t>(r)] = 1;
@@ -78,10 +77,6 @@ std::vector<CtrlRef> cone_of(const CtrlPool& pool, CtrlRef r,
   while (!stack.empty()) {
     const CtrlRef t = stack.back();
     stack.pop_back();
-    // A cone of exactly `max_nodes` nodes is analyzable and must be
-    // returned in full; only strictly larger cones are rejected (boundary
-    // pinned by tests).
-    if (cone.size() >= max_nodes) return {};
     cone.push_back(t);
     const CtrlNode& n = pool.node(t);
     for (int i = 0; i < n.arity(); ++i) {
@@ -96,63 +91,12 @@ std::vector<CtrlRef> cone_of(const CtrlPool& pool, CtrlRef r,
   return cone;
 }
 
-int tristate_eval(const CtrlPool& pool, const std::vector<CtrlRef>& cone,
-                  CtrlRef root, const std::map<CtrlRef, int>& forced) {
-  std::map<CtrlRef, int> val;
-  for (CtrlRef r : cone) {
-    const CtrlNode& n = pool.node(r);
-    const auto kid = [&](int i) { return val.at(n.kid[i]); };
-    int v = kTristateX;
-    switch (n.op) {
-      case CtrlOp::kConst:
-        v = n.bit ? 1 : 0;
-        break;
-      case CtrlOp::kEnable:
-      case CtrlOp::kPortSel:
-      case CtrlOp::kShadowBit: {
-        const auto it = forced.find(r);
-        v = it == forced.end() ? kTristateX : it->second;
-        break;
-      }
-      case CtrlOp::kNot: {
-        const int a = kid(0);
-        v = a == kTristateX ? kTristateX : 1 - a;
-        break;
-      }
-      case CtrlOp::kAnd: {
-        const int a = kid(0), b = kid(1);
-        v = (a == 0 || b == 0) ? 0 : (a == 1 && b == 1) ? 1 : kTristateX;
-        break;
-      }
-      case CtrlOp::kOr: {
-        const int a = kid(0), b = kid(1);
-        v = (a == 1 || b == 1) ? 1 : (a == 0 && b == 0) ? 0 : kTristateX;
-        break;
-      }
-      case CtrlOp::kMaj3: {
-        int ones = 0, zeros = 0;
-        for (int i = 0; i < 3; ++i) {
-          if (kid(i) == 1) ++ones;
-          if (kid(i) == 0) ++zeros;
-        }
-        v = ones >= 2 ? 1 : zeros >= 2 ? 0 : kTristateX;
-        break;
-      }
-    }
-    val[r] = v;
-  }
-  return val.at(root);
-}
-
 namespace {
 
-/// Exhaustive enumeration is cut off here even in kTristate mode: 2^26
-/// evaluations is the largest budget that stays interactive, and the SAT
-/// path is exact anyway.
-constexpr std::size_t kEnumHardLimit = 26;
+constexpr int kTristateX = 2;  ///< three-valued "unknown"
 
 /// Seed of the simulation patterns.  Fixed, like the lane count, so every
-/// run asks the exact engines the same residual queries.
+/// run sends the same residual queries down the chain.
 constexpr std::uint64_t kSimSeed = 0x5EED0C0DE0F7A11ull;
 
 std::uint64_t mix64(std::uint64_t x) {  // splitmix64 finalizer
@@ -227,7 +171,7 @@ bool ConeOracle::sim_witness(CtrlRef root, bool value,
   const auto in_pool = [&](CtrlRef r) {
     return r >= 0 && static_cast<std::size_t>(r) < pool_.size();
   };
-  // Out-of-pool refs are left to the exact path, which reports them.
+  // Out-of-pool refs are left to the cone walk, which reports them.
   if (!in_pool(root)) return false;
   for (const auto& entry : forced)
     if (!in_pool(entry.first)) return false;
@@ -253,8 +197,8 @@ bool ConeOracle::satisfiable(CtrlRef root, bool value,
     return hit->second;
   }
   // A simulated lane is a concrete assignment: a witness is a proof.  No
-  // witness proves nothing, so those queries go on to the exact engines.
-  if (backend_ == ConeBackend::kAuto && sim_witness(root, value, forced)) {
+  // witness proves nothing, so those queries go on down the chain.
+  if (sim_witness(root, value, forced)) {
     c_sim().add();
     cache_.emplace(std::move(key), true);
     return true;
@@ -286,26 +230,14 @@ bool ConeOracle::satisfiable(CtrlRef root, bool value,
     return static_cast<std::size_t>(pos_[static_cast<std::size_t>(r)]);
   };
 
-  // Screening pass: one positional tristate sweep with only `forced` bound.
-  // A definite root answers the query outright.  An X root also answers it
-  // when no X-valued node is shared (has two in-cone parents): sibling
-  // subtrees are then independent in their free atoms, and by induction
-  // over the ops every X node can reach both 0 and 1 — so the query value
-  // is satisfiable whichever it is.  Only genuinely reconvergent cones
-  // (shared free atoms or shared X subterms, e.g. hardened selects reusing
-  // one TMR voter) fall through to enumeration/SAT.
+  // Screening: one positional tristate sweep with only `forced` bound.  A
+  // definite root answers the query outright.
   std::vector<std::int8_t> val(cone.size(), kTristateX);
-  std::vector<std::uint8_t> refs(cone.size(), 0);
-  std::size_t free_atom_count = 0;
   for (std::size_t i = 0; i < cone.size(); ++i) {
     const CtrlNode& n = pool_.node(cone[i]);
     const auto kid = [&](int k) {
       return static_cast<int>(val[pos(n.kid[k])]);
     };
-    for (int k = 0; k < n.arity(); ++k) {
-      std::uint8_t& c = refs[pos(n.kid[k])];
-      if (c < 2) ++c;
-    }
     int v = kTristateX;
     switch (n.op) {
       case CtrlOp::kConst:
@@ -315,7 +247,6 @@ bool ConeOracle::satisfiable(CtrlRef root, bool value,
       case CtrlOp::kPortSel:
       case CtrlOp::kShadowBit: {
         const auto it = forced.find(cone[i]);
-        if (it == forced.end()) ++free_atom_count;
         v = it == forced.end() ? kTristateX : it->second;
         break;
       }
@@ -347,180 +278,103 @@ bool ConeOracle::satisfiable(CtrlRef root, bool value,
     val[i] = static_cast<std::int8_t>(v);
   }
 
-  bool result = false;
-  bool decided = false;
+  bool result = true;
   if (val[pos(root)] != kTristateX) {
     result = (val[pos(root)] != 0) == value;
-    decided = true;
-  } else if (backend_ != ConeBackend::kSat) {
-    // (The pure-SAT backend skips the satisfiability shortcuts below so the
-    // differential tests exercise the solver for real; they are shortcuts,
-    // not approximations, so every backend returns the same answers.)
-    bool shared_x = false;
-    for (std::size_t i = 0; i < cone.size() && !shared_x; ++i)
-      shared_x = val[i] == kTristateX && refs[i] >= 2;
-    if (!shared_x) {
-      result = true;  // X on a tree: both values achievable
-      decided = true;
-    }
-  }
-
-  // Directed probe: one desire-propagation sweep (parents before children,
-  // i.e. descending ref order) picks atom values aimed at driving the root
-  // to the queried value, then a single concrete evaluation checks the
-  // pick.  On reconvergent-but-benign cones — the common case, hardened
-  // selects sharing healthy TMR voters — this proves satisfiability in
-  // O(|cone|), so clean networks need no SAT queries at all; only a failed
-  // probe falls through to the exact engines.
-  if (!decided && backend_ != ConeBackend::kSat) {
-    std::vector<std::size_t> active;
-    for (std::size_t i = 0; i < cone.size(); ++i)
-      if (val[i] == kTristateX) active.push_back(i);
-    std::vector<std::int8_t> desired(cone.size(), -1);
-    desired[pos(root)] = value ? 1 : 0;
-    for (std::size_t j = active.size(); j-- > 0;) {
-      const std::size_t i = active[j];
-      const std::int8_t d = desired[i];
-      if (d < 0) continue;
-      const CtrlNode& n = pool_.node(cone[i]);
-      const auto want = [&](int k, std::int8_t w) {
-        const std::size_t p = pos(n.kid[k]);
-        if (val[p] == kTristateX && desired[p] < 0) desired[p] = w;
-      };
-      switch (n.op) {
-        case CtrlOp::kNot:
-          want(0, static_cast<std::int8_t>(1 - d));
-          break;
-        case CtrlOp::kAnd:
-        case CtrlOp::kOr: {
-          const std::int8_t forcing = n.op == CtrlOp::kAnd ? 0 : 1;
-          if (d != forcing) {  // non-controlling output: need both kids
-            want(0, d);
-            want(1, d);
-          } else {  // one controlling kid suffices; prefer one that already
-                    // wants (or is still free to take) that value
-            int k = 0;
-            for (int c = 0; c < 2; ++c) {
-              const std::size_t p = pos(n.kid[c]);
-              if (val[p] == kTristateX &&
-                  (desired[p] == d || desired[p] < 0)) {
-                k = c;
-                break;
-              }
-            }
-            want(k, d);
-          }
-          break;
-        }
-        case CtrlOp::kMaj3:
-          for (int k = 0; k < 3; ++k) want(k, d);
-          break;
-        default:
-          break;
-      }
-    }
-    std::vector<std::int8_t> pv = val;
-    for (const std::size_t i : active)
-      if (is_ctrl_atom(pool_.node(cone[i]).op))
-        pv[i] = desired[i] < 0 ? 0 : desired[i];
-    for (const std::size_t i : active) {
-      const CtrlNode& n = pool_.node(cone[i]);
-      const auto kid = [&](int k) { return pv[pos(n.kid[k])]; };
-      switch (n.op) {
-        case CtrlOp::kNot:
-          pv[i] = static_cast<std::int8_t>(1 - kid(0));
-          break;
-        case CtrlOp::kAnd:
-          pv[i] = static_cast<std::int8_t>(kid(0) & kid(1));
-          break;
-        case CtrlOp::kOr:
-          pv[i] = static_cast<std::int8_t>(kid(0) | kid(1));
-          break;
-        case CtrlOp::kMaj3:
-          pv[i] = static_cast<std::int8_t>(kid(0) + kid(1) + kid(2) >= 2);
-          break;
-        default:
-          break;  // atoms keep their picked value; consts are never X
-      }
-    }
-    if ((pv[pos(root)] != 0) == value) {
-      result = true;
-      decided = true;
-    }
-  }
-
-  if (decided) {
+    c_tristate().add();
+  } else if (probe(cone, std::move(val), root, value)) {
     c_tristate().add();
   } else {
-    const std::size_t enum_limit =
-        backend_ == ConeBackend::kTristate ? kEnumHardLimit
-        : backend_ == ConeBackend::kSat    ? 0
-                                           : std::min(max_atoms_,
-                                                      kEnumHardLimit);
-    if (free_atom_count <= enum_limit) {
-      result = solve_enum(cone, val, root, value);
-      c_tristate().add();
-    } else {
-      result = solve_sat(root, value, forced);
-      c_sat().add();
-    }
+    result = solve_sat(root, value, forced);
+    c_sat().add();
   }
   for (const CtrlRef c : cone) pos_[static_cast<std::size_t>(c)] = -1;
   cache_.emplace(std::move(key), result);
   return result;
 }
 
-bool ConeOracle::solve_enum(const std::vector<CtrlRef>& cone,
-                            const std::vector<std::int8_t>& screened,
-                            CtrlRef root, bool value) const {
-  // Exhaustive enumeration restricted to the X-support: positions the
-  // screening pass could not decide.  Definite positions keep their
-  // screened value; only X positions are re-evaluated per mask, so a huge
-  // cone with a small undecided core costs 2^k * |core|, not 2^k * |cone|.
+bool ConeOracle::probe(const std::vector<CtrlRef>& cone,
+                       std::vector<std::int8_t> val, CtrlRef root,
+                       bool value) const {
+  // One desire-propagation sweep (parents before children, i.e. descending
+  // ref order) picks atom values aimed at driving the root to the queried
+  // value, then one concrete evaluation checks the pick.  On a cone where
+  // no unknown node is shared, every unknown node has one in-cone parent,
+  // so desires never conflict and the probe always succeeds; on
+  // reconvergent-but-benign cones — hardened selects sharing healthy TMR
+  // voters — it usually does too, so clean networks need no SAT queries.
   const auto pos = [&](CtrlRef r) {
     return static_cast<std::size_t>(pos_[static_cast<std::size_t>(r)]);
   };
   std::vector<std::size_t> active;
-  std::vector<int> free_bit(cone.size(), -1);
-  int num_free = 0;
-  for (std::size_t i = 0; i < cone.size(); ++i) {
-    if (screened[i] != kTristateX) continue;
-    active.push_back(i);
-    if (is_ctrl_atom(pool_.node(cone[i]).op)) free_bit[i] = num_free++;
-  }
-
-  std::vector<std::int8_t> val = screened;
-  const std::size_t root_pos = pos(root);
-  for (std::uint64_t m = 0; m < (std::uint64_t{1} << num_free); ++m) {
-    for (const std::size_t i : active) {
-      const CtrlNode& n = pool_.node(cone[i]);
-      const auto kid = [&](int k) { return val[pos(n.kid[k])]; };
-      switch (n.op) {
-        case CtrlOp::kConst:
-          val[i] = n.bit ? 1 : 0;
-          break;
-        case CtrlOp::kEnable:
-        case CtrlOp::kPortSel:
-        case CtrlOp::kShadowBit:
-          val[i] = static_cast<std::int8_t>((m >> free_bit[i]) & 1);
-          break;
-        case CtrlOp::kNot:
-          val[i] = static_cast<std::int8_t>(1 - kid(0));
-          break;
-        case CtrlOp::kAnd:
-          val[i] = static_cast<std::int8_t>(kid(0) & kid(1));
-          break;
-        case CtrlOp::kOr:
-          val[i] = static_cast<std::int8_t>(kid(0) | kid(1));
-          break;
-        case CtrlOp::kMaj3:
-          val[i] = static_cast<std::int8_t>(kid(0) + kid(1) + kid(2) >= 2);
-          break;
+  for (std::size_t i = 0; i < cone.size(); ++i)
+    if (val[i] == kTristateX) active.push_back(i);
+  std::vector<std::int8_t> desired(cone.size(), -1);
+  desired[pos(root)] = value ? 1 : 0;
+  for (std::size_t j = active.size(); j-- > 0;) {
+    const std::size_t i = active[j];
+    const std::int8_t d = desired[i];
+    if (d < 0) continue;
+    const CtrlNode& n = pool_.node(cone[i]);
+    const auto want = [&](int k, std::int8_t w) {
+      const std::size_t p = pos(n.kid[k]);
+      if (val[p] == kTristateX && desired[p] < 0) desired[p] = w;
+    };
+    switch (n.op) {
+      case CtrlOp::kNot:
+        want(0, static_cast<std::int8_t>(1 - d));
+        break;
+      case CtrlOp::kAnd:
+      case CtrlOp::kOr: {
+        const std::int8_t forcing = n.op == CtrlOp::kAnd ? 0 : 1;
+        if (d != forcing) {  // non-controlling output: need both kids
+          want(0, d);
+          want(1, d);
+        } else {  // one controlling kid suffices; prefer one that already
+                  // wants (or is still free to take) that value
+          int k = 0;
+          for (int c = 0; c < 2; ++c) {
+            const std::size_t p = pos(n.kid[c]);
+            if (val[p] == kTristateX && (desired[p] == d || desired[p] < 0)) {
+              k = c;
+              break;
+            }
+          }
+          want(k, d);
+        }
+        break;
       }
+      case CtrlOp::kMaj3:
+        for (int k = 0; k < 3; ++k) want(k, d);
+        break;
+      default:
+        break;
     }
-    if ((val[root_pos] != 0) == value) return true;
   }
-  return false;
+  for (const std::size_t i : active)
+    if (is_ctrl_atom(pool_.node(cone[i]).op))
+      val[i] = desired[i] < 0 ? 0 : desired[i];
+  for (const std::size_t i : active) {
+    const CtrlNode& n = pool_.node(cone[i]);
+    const auto kid = [&](int k) { return val[pos(n.kid[k])]; };
+    switch (n.op) {
+      case CtrlOp::kNot:
+        val[i] = static_cast<std::int8_t>(1 - kid(0));
+        break;
+      case CtrlOp::kAnd:
+        val[i] = static_cast<std::int8_t>(kid(0) & kid(1));
+        break;
+      case CtrlOp::kOr:
+        val[i] = static_cast<std::int8_t>(kid(0) | kid(1));
+        break;
+      case CtrlOp::kMaj3:
+        val[i] = static_cast<std::int8_t>(kid(0) + kid(1) + kid(2) >= 2);
+        break;
+      default:
+        break;  // atoms keep their picked value; consts are never X
+    }
+  }
+  return (val[pos(root)] != 0) == value;
 }
 
 bool ConeOracle::solve_sat(CtrlRef root, bool value,

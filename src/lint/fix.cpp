@@ -99,7 +99,7 @@ bool term_references(const Workspace& ws, NodeId node) {
 // verification pool `vp` (translated from the workspace pool), so guards
 // produced from the pre- and post-rewrite networks are directly comparable:
 // hash-consing makes syntactic equality a ref comparison, and the residual
-// pairs are decided exactly by a ConeOracle SAT/enumeration query.
+// pairs are decided exactly by a ConeOracle query.
 
 constexpr std::uint64_t kSrcDangling = ~std::uint64_t{0};
 
@@ -231,8 +231,7 @@ class PathResolver {
 
 /// The full pre/post equivalence check for one candidate rewrite.  Returns
 /// an empty string on success, a reason on rejection.
-std::string verify_rewrite(const Workspace& before, const Workspace& after,
-                           const LintOptions& lint_opts) {
+std::string verify_rewrite(const Workspace& before, const Workspace& after) {
   const Rsn& rb = before.rsn;
   const Rsn& ra = after.rsn;
   if (ra.num_nodes() != rb.num_nodes()) return "node table size changed";
@@ -361,7 +360,7 @@ std::string verify_rewrite(const Workspace& before, const Workspace& after,
   }
   if (!checks.empty()) {
     static obs::Counter sat_checks("lint.fix.sat_checks");
-    ConeOracle oracle(vp, lint_opts.cone_backend, lint_opts.cone_max_atoms);
+    ConeOracle oracle(vp);
     for (const SatCheck& c : checks) {
       sat_checks.add();
       if (!oracle.provably_const(c.diff, false)) return c.what;
@@ -786,7 +785,7 @@ void commit_or_reject(PassCtx& pc, Workspace&& cand, AppliedFix& fix) {
   static obs::Counter c_rejected("lint.fix.rejected");
   if (pc.opts.verify != FixVerify::kOff) {
     OBS_SPAN("lint.fix.verify");
-    const std::string err = verify_rewrite(pc.ws, cand, pc.opts.lint);
+    const std::string err = verify_rewrite(pc.ws, cand);
     if (!err.empty()) {
       fix.status = FixStatus::kRejected;
       fix.note = "verification rejected the rewrite: " + err;
@@ -815,8 +814,7 @@ int const_mux_stuck(const Workspace& ws, ConeOracle& oracle, NodeId m) {
 }
 
 void run_pass(PassCtx& pc, const PassPlan& plan) {
-  ConeOracle oracle(pc.ws.rsn.ctrl(), pc.opts.lint.cone_backend,
-                    pc.opts.lint.cone_max_atoms);
+  ConeOracle oracle(pc.ws.rsn.ctrl());
   const bool miswire = pc.opts.debug_miswire != 0;
 
   for (const NodeId m : plan.dedupe) {

@@ -49,8 +49,7 @@ bool ctrl_ok(const Ctx& c, CtrlRef r) {
 
 Ctx make_ctx(const Rsn& rsn, const LintOptions& opts) {
   Ctx c{rsn, rsn.ctrl(), rsn.node_names(), {}, {}, {}, {}, true, nullptr};
-  c.oracle = std::make_unique<ConeOracle>(c.pool, opts.cone_backend,
-                                          opts.cone_max_atoms);
+  c.oracle = std::make_unique<ConeOracle>(c.pool);
   const std::size_t n = rsn.num_nodes();
   c.succ.resize(n);
   c.pred.resize(n);

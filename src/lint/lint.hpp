@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "graph/dataflow.hpp"
-#include "lint/cone_oracle.hpp"
 #include "lint/diagnostic.hpp"
 #include "rsn/rsn.hpp"
 
@@ -60,15 +59,6 @@ struct LintOptions {
 
   /// Per-rule severity override (id -> severity).
   std::map<std::string, Severity> severity;
-
-  /// How the cone-based control rules decide their queries (cone_oracle.hpp):
-  /// exhaustive enumeration, SAT, or the auto crossover.  Both backends are
-  /// exact — there is no cone size above which analysis is skipped.
-  ConeBackend cone_backend = ConeBackend::kAuto;
-
-  /// kAuto crossover: cones with at most this many free atoms are decided
-  /// by exhaustive enumeration, larger ones by the SAT solver.
-  std::size_t cone_max_atoms = 10;
 };
 
 class LintRunner {

@@ -61,9 +61,8 @@ class ServeServer {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Shared driver behind `rsn_tool serve` and the example_rsn_serve binary:
-/// parses flags, builds the service and server, prints the endpoint, runs
-/// until shutdown.  Flags:
+/// Driver behind `rsn_tool serve`: parses flags, builds the service and
+/// server, prints the endpoint, runs until shutdown.  Flags:
 ///   --port=N --host=H --unix=PATH --port-file=PATH --threads=N
 ///   --cache-mb=N --cache-entries=N --timeout-ms=N
 /// Honours FTRSN_TRACE / FTRSN_REPORT (prefix "rsn_serve").

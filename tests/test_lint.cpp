@@ -176,45 +176,32 @@ TEST(Lint, ConstFalseSelect) {
 TEST(Lint, ConstFalseSelectLargeConeIsFlagged) {
   // 12 free atoms — beyond the historical 10-atom enumeration cutoff that
   // used to yield "cone too large; skip".  OR of per-atom contradictions
-  // is provably false and must be flagged by every backend.
-  for (const auto backend :
-       {lint::ConeBackend::kAuto, lint::ConeBackend::kSat,
-        lint::ConeBackend::kTristate}) {
-    Net net;
-    CtrlPool& ctrl = net.rsn.ctrl();
-    CtrlRef sel = kCtrlFalse;
-    for (std::uint16_t i = 0; i < 12; ++i) {
-      const CtrlRef p = ctrl.port_select_input(i);
-      sel = ctrl.mk_or(sel, ctrl.mk_and(p, ctrl.mk_not(p)));
-    }
-    net.rsn.set_select(net.a, sel);
-    lint::LintOptions opts;
-    opts.cone_backend = backend;
-    const auto diags = lint::lint_rsn(net.rsn, opts);
-    EXPECT_EQ(find(diags, "const-false-select").node, net.a);
+  // is provably false and must be flagged.
+  Net net;
+  CtrlPool& ctrl = net.rsn.ctrl();
+  CtrlRef sel = kCtrlFalse;
+  for (std::uint16_t i = 0; i < 12; ++i) {
+    const CtrlRef p = ctrl.port_select_input(i);
+    sel = ctrl.mk_or(sel, ctrl.mk_and(p, ctrl.mk_not(p)));
   }
+  net.rsn.set_select(net.a, sel);
+  const auto diags = lint::lint_rsn(net.rsn);
+  EXPECT_EQ(find(diags, "const-false-select").node, net.a);
 }
 
 TEST(Lint, SatisfiableLargeConeIsNotFlagged) {
   // 13 atoms, every adjacent pair shared between two OR terms — a
   // reconvergent cone the old enumerator skipped and a naive tree argument
-  // cannot decide.  It is satisfiable (all atoms 1), so no backend may
-  // report const-false-select.
-  for (const auto backend :
-       {lint::ConeBackend::kAuto, lint::ConeBackend::kSat,
-        lint::ConeBackend::kTristate}) {
-    Net net;
-    CtrlPool& ctrl = net.rsn.ctrl();
-    CtrlRef sel = kCtrlTrue;
-    for (std::uint16_t i = 0; i < 12; ++i)
-      sel = ctrl.mk_and(sel, ctrl.mk_or(ctrl.port_select_input(i),
-                                        ctrl.port_select_input(i + 1)));
-    net.rsn.set_select(net.a, sel);
-    lint::LintOptions opts;
-    opts.cone_backend = backend;
-    EXPECT_FALSE(fires(lint::lint_rsn(net.rsn, opts), "const-false-select"))
-        << "backend " << static_cast<int>(backend);
-  }
+  // cannot decide.  It is satisfiable (all atoms 1), so const-false-select
+  // must not fire.
+  Net net;
+  CtrlPool& ctrl = net.rsn.ctrl();
+  CtrlRef sel = kCtrlTrue;
+  for (std::uint16_t i = 0; i < 12; ++i)
+    sel = ctrl.mk_and(sel, ctrl.mk_or(ctrl.port_select_input(i),
+                                      ctrl.port_select_input(i + 1)));
+  net.rsn.set_select(net.a, sel);
+  EXPECT_FALSE(fires(lint::lint_rsn(net.rsn), "const-false-select"));
 }
 
 TEST(Lint, SelectSelfLoopDeadlock) {

@@ -1,10 +1,12 @@
 // Differential tests of the exact cone-analysis and incremental-lint
 // machinery.  Two properties are exercised at random:
 //
-//  * ConeOracle backends agree: for hundreds of random control cones, the
-//    pure-SAT backend, the pure-enumeration backend and a brute-force
-//    reference (tristate_eval over every atom assignment) must return the
-//    same const-0 / const-1 / satisfiable verdicts.
+//  * The ConeOracle engine agrees with two independent references: a
+//    brute-force evaluation over every atom assignment (small cones) and a
+//    direct SAT call on the Tseitin-encoded cone with none of the engine's
+//    simulation, screening or probe steps.  For hundreds of random control
+//    cones all three return the same const-0 / const-1 / satisfiable
+//    verdicts, with and without forced atoms.
 //
 //  * AugmentLintCache tracks lint_augmentation: over randomized
 //    add/remove/assign sequences on random DAGs, the incrementally
@@ -16,6 +18,7 @@
 // soaks without a recompile.  These tests are labeled `oracle` in ctest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <vector>
@@ -25,12 +28,13 @@
 #include "lint/augment_cache.hpp"
 #include "lint/cone_oracle.hpp"
 #include "lint/lint.hpp"
+#include "sat/cnf.hpp"
+#include "sat/solver.hpp"
 #include "util/common.hpp"
 
 namespace ftrsn {
 namespace {
 
-using lint::ConeBackend;
 using lint::ConeOracle;
 using lint::Diagnostic;
 
@@ -67,21 +71,90 @@ CtrlRef random_cone(CtrlPool& pool, Rng& rng, int num_atoms, int num_gates) {
   return refs.back();
 }
 
-/// Brute force over every assignment of the cone's atoms via tristate_eval
-/// with a fully forced atom map — the simplest possible reference.
-bool brute_satisfiable(const CtrlPool& pool, CtrlRef root, bool value) {
+constexpr int kTristateX = 2;  ///< three-valued "unknown"
+
+/// Three-valued bottom-up evaluation over `cone` (ascending ref order);
+/// atoms not in `forced` evaluate to unknown.  Returns 0, 1 or kTristateX.
+int tristate_eval(const CtrlPool& pool, const std::vector<CtrlRef>& cone,
+                  CtrlRef root, const std::map<CtrlRef, int>& forced) {
+  std::map<CtrlRef, int> val;
+  for (CtrlRef r : cone) {
+    const CtrlNode& n = pool.node(r);
+    const auto kid = [&](int i) { return val.at(n.kid[i]); };
+    int v = kTristateX;
+    switch (n.op) {
+      case CtrlOp::kConst:
+        v = n.bit ? 1 : 0;
+        break;
+      case CtrlOp::kEnable:
+      case CtrlOp::kPortSel:
+      case CtrlOp::kShadowBit: {
+        const auto it = forced.find(r);
+        v = it == forced.end() ? kTristateX : it->second;
+        break;
+      }
+      case CtrlOp::kNot: {
+        const int a = kid(0);
+        v = a == kTristateX ? kTristateX : 1 - a;
+        break;
+      }
+      case CtrlOp::kAnd: {
+        const int a = kid(0), b = kid(1);
+        v = (a == 0 || b == 0) ? 0 : (a == 1 && b == 1) ? 1 : kTristateX;
+        break;
+      }
+      case CtrlOp::kOr: {
+        const int a = kid(0), b = kid(1);
+        v = (a == 1 || b == 1) ? 1 : (a == 0 && b == 0) ? 0 : kTristateX;
+        break;
+      }
+      case CtrlOp::kMaj3: {
+        int ones = 0, zeros = 0;
+        for (int i = 0; i < 3; ++i) {
+          if (kid(i) == 1) ++ones;
+          if (kid(i) == 0) ++zeros;
+        }
+        v = ones >= 2 ? 1 : zeros >= 2 ? 0 : kTristateX;
+        break;
+      }
+    }
+    val[r] = v;
+  }
+  return val.at(root);
+}
+
+/// Brute force over every assignment of the cone's unforced atoms via
+/// tristate_eval with a fully forced atom map — the simplest possible
+/// reference.
+bool brute_satisfiable(const CtrlPool& pool, CtrlRef root, bool value,
+                       const std::map<CtrlRef, int>& forced = {}) {
   const std::vector<CtrlRef> cone = lint::cone_of(pool, root);
   std::vector<CtrlRef> atoms;
   for (CtrlRef r : cone)
-    if (lint::is_ctrl_atom(pool.node(r).op)) atoms.push_back(r);
+    if (lint::is_ctrl_atom(pool.node(r).op) && forced.count(r) == 0)
+      atoms.push_back(r);
   for (std::uint64_t m = 0; m < (std::uint64_t{1} << atoms.size()); ++m) {
-    std::map<CtrlRef, int> forced;
+    std::map<CtrlRef, int> full = forced;
     for (std::size_t i = 0; i < atoms.size(); ++i)
-      forced[atoms[i]] = static_cast<int>((m >> i) & 1);
-    if (lint::tristate_eval(pool, cone, root, forced) == (value ? 1 : 0))
-      return true;
+      full[atoms[i]] = static_cast<int>((m >> i) & 1);
+    if (tristate_eval(pool, cone, root, full) == (value ? 1 : 0)) return true;
   }
   return false;
+}
+
+/// One SAT call on the Tseitin-encoded cone, with none of the engine's
+/// simulation, screening or probe steps in front of it.
+bool sat_reference(const CtrlPool& pool, CtrlRef root, bool value,
+                   const std::map<CtrlRef, int>& forced = {}) {
+  sat::Solver solver;
+  sat::CnfEncoder encoder(pool, solver);
+  const sat::Lit root_lit = encoder.encode(root);
+  for (const auto& [atom, v] : forced) {
+    const sat::Lit a = encoder.encode(atom);
+    solver.add_clause({v ? a : ~a});
+  }
+  solver.add_clause({value ? root_lit : ~root_lit});
+  return solver.solve() == sat::SolveResult::kSat;
 }
 
 TEST(LintOracle, BackendsAgreeOnRandomCones) {
@@ -93,22 +166,17 @@ TEST(LintOracle, BackendsAgreeOnRandomCones) {
     const int num_gates = static_cast<int>(rng.next_range(1, 24));
     const CtrlRef root = random_cone(pool, rng, num_atoms, num_gates);
 
-    ConeOracle tri(pool, ConeBackend::kTristate);
-    ConeOracle sat(pool, ConeBackend::kSat);
-    ConeOracle aut(pool, ConeBackend::kAuto, /*max_atoms=*/4);
+    ConeOracle oracle(pool);
     for (const bool value : {false, true}) {
       const bool expect = brute_satisfiable(pool, root, value);
-      EXPECT_EQ(tri.satisfiable(root, value), expect)
-          << "tristate disagrees with brute force (iter " << it << ")";
-      EXPECT_EQ(sat.satisfiable(root, value), expect)
-          << "SAT disagrees with brute force (iter " << it << ")";
-      EXPECT_EQ(aut.satisfiable(root, value), expect)
-          << "auto disagrees with brute force (iter " << it << ")";
+      EXPECT_EQ(sat_reference(pool, root, value), expect)
+          << "SAT reference disagrees with brute force (iter " << it << ")";
+      EXPECT_EQ(oracle.satisfiable(root, value), expect)
+          << "engine disagrees with brute force (iter " << it << ")";
+      // The derived const verdict is the complement of the other value's
+      // satisfiability.
+      EXPECT_EQ(oracle.provably_const(root, !value), !expect);
     }
-    // The derived const-0/const-1 verdicts agree too (and at most one of
-    // them can hold unless the cone has no satisfying value at all).
-    EXPECT_EQ(tri.provably_const(root, false), sat.provably_const(root, false));
-    EXPECT_EQ(tri.provably_const(root, true), sat.provably_const(root, true));
   }
 }
 
@@ -128,12 +196,15 @@ TEST(LintOracle, BackendsAgreeUnderForcedAtoms) {
         forced[pool.port_select_input(static_cast<std::uint16_t>(i))] =
             static_cast<int>(rng.next_below(2));
 
-    ConeOracle tri(pool, ConeBackend::kTristate);
-    ConeOracle sat(pool, ConeBackend::kSat);
-    for (const bool value : {false, true})
-      EXPECT_EQ(tri.satisfiable(root, value, forced),
-                sat.satisfiable(root, value, forced))
-          << "backends disagree under forced atoms (iter " << it << ")";
+    ConeOracle oracle(pool);
+    for (const bool value : {false, true}) {
+      const bool expect = sat_reference(pool, root, value, forced);
+      EXPECT_EQ(brute_satisfiable(pool, root, value, forced), expect)
+          << "brute force vs SAT reference under forced atoms (iter " << it
+          << ")";
+      EXPECT_EQ(oracle.satisfiable(root, value, forced), expect)
+          << "engine vs SAT reference under forced atoms (iter " << it << ")";
+    }
   }
 }
 
@@ -194,7 +265,7 @@ bool replay_lane(const CtrlPool& pool, ConeOracle& oracle, CtrlRef root,
     if (lint::is_ctrl_atom(pool.node(r).op))
       val[r] = static_cast<int>(
           (oracle.sim_word(r, lane / 64) >> (lane % 64)) & 1);
-  return lint::tristate_eval(pool, cone, root, val) == 1;
+  return tristate_eval(pool, cone, root, val) == 1;
 }
 
 TEST(LintOracle, SimulationWitnessesAreSoundAndAutoMatchesExact) {
@@ -206,9 +277,7 @@ TEST(LintOracle, SimulationWitnessesAreSoundAndAutoMatchesExact) {
     CtrlPool pool;
     std::vector<CtrlRef> atoms;
     const std::vector<CtrlRef> refs = random_replicated_pool(pool, rng, atoms);
-    ConeOracle aut(pool, ConeBackend::kAuto);
-    ConeOracle sat(pool, ConeBackend::kSat);
-    ConeOracle tri(pool, ConeBackend::kTristate);
+    ConeOracle aut(pool);
 
     // Replicas of one shadow bit share their pattern words.
     for (const CtrlRef a : atoms)
@@ -252,36 +321,103 @@ TEST(LintOracle, SimulationWitnessesAreSoundAndAutoMatchesExact) {
               << it << ")";
       }
 
-      const bool expect = sat.satisfiable(root, value, forced);
-      EXPECT_EQ(tri.satisfiable(root, value, forced), expect)
-          << "tristate vs SAT (iter " << it << ", query " << q << ")";
+      const bool expect = sat_reference(pool, root, value, forced);
       EXPECT_EQ(aut.satisfiable(root, value, forced), expect)
-          << "simulation-first auto vs SAT (iter " << it << ", query " << q
+          << "engine vs SAT reference (iter " << it << ", query " << q
           << ")";
       (has_witness ? witnessed : expect ? exact_sat : unsat) += 1;
     }
   }
   // Every path was taken: simulation witnesses, satisfiable queries only
-  // the exact engines could prove (wide ANDs), and unsatisfiable ones.
+  // the later steps could prove (wide ANDs), and unsatisfiable ones.
   EXPECT_GT(witnessed, 0u);
   EXPECT_GT(exact_sat, 0u);
   EXPECT_GT(unsat, 0u);
 }
 
-// --- cone_of boundary -------------------------------------------------------
+// --- which step decides ----------------------------------------------------
+
+TEST(LintOracle, ProbeDecidesTreeConesWithoutSat) {
+  // Random tree-shaped cones (every atom and gate read once) built from
+  // wide ANDs, so simulation rarely witnesses the rare value, with a few
+  // atoms forced so that some subtrees are definite.  No unknown node is
+  // shared, so the probe's desires never conflict: screening or the probe
+  // decides every query and SAT is never called.
+  Rng rng(0x5eed0008);
+  const std::size_t iters = scaled(100);
+  lint::reset_lint_stats();
+  for (std::size_t it = 0; it < iters; ++it) {
+    CtrlPool pool;
+    std::uint16_t next_atom = 0;
+    const auto atom = [&] { return pool.port_select_input(next_atom++); };
+    std::vector<CtrlRef> frontier;
+    const int leaves = static_cast<int>(rng.next_range(2, 6));
+    for (int i = 0; i < leaves; ++i) {
+      CtrlRef wide = atom();
+      for (int k = static_cast<int>(rng.next_range(8, 14)); k > 0; --k)
+        wide = pool.mk_and(wide, atom());
+      frontier.push_back(rng.next_bool() ? wide : pool.mk_not(wide));
+    }
+    while (frontier.size() > 1) {
+      const CtrlRef a = frontier.back();
+      frontier.pop_back();
+      const CtrlRef b = frontier.back();
+      frontier.pop_back();
+      CtrlRef g = kCtrlInvalid;
+      switch (rng.next_below(3)) {
+        case 0: g = pool.mk_and(a, b); break;
+        case 1: g = pool.mk_or(a, b); break;
+        case 2: g = pool.mk_maj3(a, b, atom()); break;
+      }
+      frontier.insert(frontier.begin(), rng.next_bool() ? g : pool.mk_not(g));
+    }
+    const CtrlRef root = frontier.front();
+    std::map<CtrlRef, int> forced;
+    for (std::uint16_t i = 0; i < next_atom; ++i)
+      if (rng.next_below(8) == 0)
+        forced[pool.port_select_input(i)] = static_cast<int>(rng.next_below(2));
+    ConeOracle oracle(pool);
+    for (const bool value : {false, true})
+      EXPECT_EQ(oracle.satisfiable(root, value, forced),
+                sat_reference(pool, root, value, forced))
+          << "iter " << it;
+  }
+  const lint::LintStats s = lint::lint_stats();
+  EXPECT_EQ(s.cones_solved_sat, 0u);
+  EXPECT_GT(s.cones_solved_tristate, 0u)
+      << "simulation witnessed every query; the probe was never exercised";
+}
+
+TEST(LintOracle, ReconvergentUnsatisfiableConeReachesSat) {
+  // x AND NOT x over a shared subterm: screening leaves the root unknown
+  // and the probe's desires for x conflict, so only SAT can refute it.
+  CtrlPool pool;
+  const CtrlRef x =
+      pool.mk_or(pool.port_select_input(0), pool.port_select_input(1));
+  const CtrlRef root = pool.mk_and(x, pool.mk_not(x));
+  lint::reset_lint_stats();
+  ConeOracle oracle(pool);
+  EXPECT_FALSE(oracle.satisfiable(root, true));
+  EXPECT_TRUE(oracle.provably_const(root, false));  // memo hit
+  const lint::LintStats s = lint::lint_stats();
+  EXPECT_EQ(s.cones_solved_sat, 1u);
+  EXPECT_EQ(s.cache_hits, 1u);
+}
+
+// --- cone_of ----------------------------------------------------------------
 
 TEST(LintOracle, ConeOfExactLimitIsReturnedInFull) {
   CtrlPool pool;
-  // AND(p0, NOT(p1)) plus the two atoms: exactly 4 cone nodes.
+  // AND(p0, NOT(p1)) plus the two atoms: exactly 4 cone nodes, returned
+  // complete and in ascending ref order.
   const CtrlRef p0 = pool.port_select_input(0);
   const CtrlRef p1 = pool.port_select_input(1);
-  const CtrlRef root = pool.mk_and(p0, pool.mk_not(p1));
-  ASSERT_EQ(lint::cone_of(pool, root).size(), 4u);
-  // A budget of exactly the cone size admits the cone; one less rejects it.
-  EXPECT_EQ(lint::cone_of(pool, root, 4).size(), 4u);
-  EXPECT_TRUE(lint::cone_of(pool, root, 3).empty());
-  // A single-node cone at budget 1 is likewise admitted.
-  EXPECT_EQ(lint::cone_of(pool, p0, 1).size(), 1u);
+  const CtrlRef np1 = pool.mk_not(p1);
+  const CtrlRef root = pool.mk_and(p0, np1);
+  std::vector<CtrlRef> expect{p0, p1, np1, root};
+  std::sort(expect.begin(), expect.end());
+  EXPECT_EQ(lint::cone_of(pool, root), expect);
+  EXPECT_EQ(lint::cone_of(pool, p0), std::vector<CtrlRef>{p0});
 }
 
 // --- incremental augmentation lint ------------------------------------------
